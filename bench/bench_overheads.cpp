@@ -19,7 +19,6 @@
 #include "data/circular_buffer.h"
 #include "math/approx.h"
 #include "matrix/linalg.h"
-#include "nn/quantized.h"
 #include "observe/flight_recorder.h"
 #include "observe/metrics.h"
 #include "observe/timeseries.h"
@@ -27,7 +26,6 @@
 #include "portability/simd.h"
 #include "portability/threadpool.h"
 #include "readahead/features.h"
-#include "readahead/model.h"
 #include "runtime/engine.h"
 #include "workloads/drivers.h"
 
@@ -95,9 +93,10 @@ void BM_ReadaheadInference(benchmark::State& state) {
   runtime::Engine engine(make_readahead_shaped_net());
   const double features[readahead::kNumSelectedFeatures] = {11.0, 12.4, 11.9,
                                                             8.0, 4.8};
+  int cls = -1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.infer_class(features, readahead::kNumSelectedFeatures));
+    benchmark::DoNotOptimize(engine.infer_batch_scores(
+        features, readahead::kNumSelectedFeatures, 1, nullptr, &cls));
   }
   state.SetLabel("paper: 21 us per inference");
 }
@@ -116,9 +115,9 @@ void BM_ReadaheadInferenceBatch(benchmark::State& state) {
   }
   std::vector<int> classes(static_cast<std::size_t>(batch), -1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.infer_batch(features.data(), readahead::kNumSelectedFeatures,
-                           batch, classes.data()));
+    benchmark::DoNotOptimize(engine.infer_batch_scores(
+        features.data(), readahead::kNumSelectedFeatures, batch, nullptr,
+        classes.data()));
   }
   state.SetItemsProcessed(state.iterations() * batch);
   state.SetLabel("items/s = samples/s");
@@ -242,14 +241,17 @@ InferenceCosts report_inference_allocations() {
   runtime::Engine engine(make_readahead_shaped_net());
   const double features[readahead::kNumSelectedFeatures] = {11.0, 12.4, 11.9,
                                                             8.0, 4.8};
-  engine.infer_class(features, readahead::kNumSelectedFeatures);  // warm
+  int cls = -1;
+  const auto infer = [&] {
+    engine.infer_batch_scores(features, readahead::kNumSelectedFeatures, 1,
+                              nullptr, &cls);
+  };
+  infer();  // warm
 
   constexpr int kCalls = 10'000;
   const std::uint64_t before = kml_mem_stats().total_allocs;
   const std::uint64_t start = kml_now_ns();
-  for (int i = 0; i < kCalls; ++i) {
-    engine.infer_class(features, readahead::kNumSelectedFeatures);
-  }
+  for (int i = 0; i < kCalls; ++i) infer();
   const std::uint64_t elapsed = kml_now_ns() - start;
   const std::uint64_t allocs = kml_mem_stats().total_allocs - before;
 
@@ -275,9 +277,11 @@ struct MatmulCosts {
   double flops;  // per multiply (2*n^3)
 };
 
-// Acceptance gate for the register-tiled kernels: >= 2x the reference
-// i-k-j loop at 64x64x64 (results are bit-identical; only the schedule
-// differs).
+// Acceptance gate for the register-tiled kernel: >= 2x the reference i-k-j
+// loop at 64x64x64 (results are bit-identical; only the schedule differs).
+// The tiled side runs matrix::matmul pinned to the scalar tier on one
+// thread — the tiled kernel itself, not the vector tiers or the pool, which
+// the per-tier table below and the thread-scaling report time.
 MatmulCosts report_matmul_speedup() {
   constexpr int kN = 64;
   constexpr int kReps = 2'000;
@@ -305,14 +309,21 @@ MatmulCosts report_matmul_speedup() {
       time_kernel([](const auto& x, const auto& y, auto& out) {
         matrix::matmul_naive(x, y, out);
       });
+  const SimdLevel restore_tier = kml_simd_level();
+  const unsigned restore_threads = kml_pool_threads();
+  kml_simd_set_level(SimdLevel::kScalar);
+  kml_pool_set_threads(1);
   const double blocked_ns =
       time_kernel([](const auto& x, const auto& y, auto& out) {
         matrix::matmul(x, y, out);
       });
+  kml_pool_set_threads(restore_threads);
+  kml_simd_set_level(restore_tier);
   const double flops = 2.0 * kN * kN * kN;
 
-  std::printf("\n--- blocked vs naive matmul (%dx%dx%d, double) ---\n", kN,
-              kN, kN);
+  std::printf("\n--- tiled vs naive matmul (%dx%dx%d, double, scalar tier, "
+              "1 thread) ---\n",
+              kN, kN, kN);
   std::printf("naive i-k-j:      %8.0f ns  (%.2f GFLOP/s)\n", naive_ns,
               flops / naive_ns);
   std::printf("register-tiled:   %8.0f ns  (%.2f GFLOP/s)\n", blocked_ns,
@@ -326,9 +337,8 @@ MatmulCosts report_matmul_speedup() {
 
 struct TierRow {
   SimdLevel level;
-  double matmul_ns;   // 64x64x64 f64 through the dispatched kernel
-  double gemm_s8_ns;  // 64x64x64 int8 -> int32
-  double exp_ns;      // kml_exp_span over 4096 doubles
+  double matmul_ns;  // 64x64x64 f64 through the dispatched kernel
+  double exp_ns;     // kml_exp_span over 4096 doubles
 };
 
 // Times the dispatched kernels at every tier the host supports, forced via
@@ -344,13 +354,6 @@ std::vector<TierRow> report_simd_tiers() {
   matrix::MatD a = matrix::random_uniform(kN, kN, -1.0, 1.0, rng);
   matrix::MatD b = matrix::random_uniform(kN, kN, -1.0, 1.0, rng);
   matrix::MatD c(kN, kN);
-  std::vector<std::int8_t> qa(static_cast<std::size_t>(kN) * kN);
-  std::vector<std::int8_t> qb(qa.size());
-  std::vector<std::int32_t> qc(qa.size());
-  for (std::size_t i = 0; i < qa.size(); ++i) {
-    qa[i] = static_cast<std::int8_t>(static_cast<int>(i * 37 % 255) - 127);
-    qb[i] = static_cast<std::int8_t>(static_cast<int>(i * 91 % 255) - 127);
-  }
   std::vector<double> span_in(static_cast<std::size_t>(kSpan));
   std::vector<double> span_out(span_in.size());
   for (long i = 0; i < kSpan; ++i) {
@@ -376,8 +379,7 @@ std::vector<TierRow> report_simd_tiers() {
   std::vector<TierRow> rows;
   std::printf("\n--- SIMD dispatch tiers (%dx%dx%d kernels, detected: %s) ---\n",
               kN, kN, kN, kml_simd_level_name(kml_simd_detected()));
-  std::printf("%-8s %14s %16s %18s\n", "tier", "matmul f64", "gemm int8",
-              "exp span 4096");
+  std::printf("%-8s %14s %18s\n", "tier", "matmul f64", "exp span 4096");
   for (SimdLevel tier : tiers) {
     kml_simd_set_level(tier);
     TierRow row;
@@ -389,131 +391,18 @@ std::vector<TierRow> report_simd_tiers() {
           benchmark::DoNotOptimize(c.data());
         },
         kReps);
-    row.gemm_s8_ns = best_of(
-        [&] {
-          kml_simd_gemm_s8(qa.data(), kN, qb.data(), kN, qc.data(), kN, kN,
-                           kN, kN);
-          benchmark::DoNotOptimize(qc.data());
-        },
-        kReps);
     row.exp_ns = best_of(
         [&] {
           math::kml_exp_span(span_in.data(), span_out.data(), kSpan);
           benchmark::DoNotOptimize(span_out.data());
         },
         kReps * 4);
-    std::printf("%-8s %11.0f ns %13.0f ns %15.0f ns\n",
-                kml_simd_level_name(tier), row.matmul_ns, row.gemm_s8_ns,
-                row.exp_ns);
+    std::printf("%-8s %11.0f ns %15.0f ns\n", kml_simd_level_name(tier),
+                row.matmul_ns, row.exp_ns);
     rows.push_back(row);
   }
   kml_simd_set_level(restore);
   return rows;
-}
-
-// --- int8 quantized serving vs float ------------------------------------------
-
-struct Int8Costs {
-  bool available = false;
-  double float_ns_per_row = 0.0;  // batch-64 float engine, per row
-  double int8_ns_per_row = 0.0;   // batch-64 int8 path, per row
-  double float_acc_pct = 0.0;     // Table 2 training-workload windows
-  double int8_acc_pct = 0.0;
-  double acc_delta_points = 0.0;  // float - int8, percentage points
-};
-
-// The serving-side acceptance row: int8 batched inference under 300 ns/row
-// with accuracy within one point of float on the Table 2 workload windows
-// (the readahead classifier's own dataset — collected/cached exactly as
-// bench_table2 trains on it).
-Int8Costs report_int8_costs() {
-  Int8Costs costs;
-  data::Dataset dataset =
-      bench::collect_or_load_dataset(bench::kDefaultDatasetPath);
-  nn::Network net = bench::train_or_load_model(bench::kDefaultModelPath);
-  costs.float_acc_pct = readahead::evaluate_nn(net, dataset) * 100.0;
-
-  nn::QuantizedNetwork quant;
-  if (!nn::QuantizedNetwork::quantize_int8(net, dataset.to_matrix(), quant)) {
-    std::printf("\n--- int8 quantized serving: quantization failed ---\n");
-    return costs;
-  }
-  costs.available = true;
-
-  // Accuracy of the int8 path over the same raw windows.
-  const int nfeat = dataset.num_features();
-  const int nclasses = quant.out_features();
-  const int total = dataset.size();
-  constexpr int kBatch = 64;
-  std::vector<double> feats(static_cast<std::size_t>(kBatch) * nfeat);
-  std::vector<double> scores(static_cast<std::size_t>(kBatch) * nclasses);
-  std::vector<int> classes(kBatch);
-  int correct = 0;
-  for (int base = 0; base < total; base += kBatch) {
-    const int rows = total - base < kBatch ? total - base : kBatch;
-    for (int r = 0; r < rows; ++r) {
-      const double* src = dataset.features(base + r);
-      for (int j = 0; j < nfeat; ++j) {
-        feats[static_cast<std::size_t>(r) * nfeat + j] = src[j];
-      }
-    }
-    quant.infer_batch_scores(feats.data(), nfeat, rows, scores.data(),
-                             classes.data());
-    for (int r = 0; r < rows; ++r) {
-      if (classes[static_cast<std::size_t>(r)] == dataset.label(base + r)) {
-        ++correct;
-      }
-    }
-  }
-  costs.int8_acc_pct =
-      total > 0 ? 100.0 * correct / static_cast<double>(total) : 0.0;
-  costs.acc_delta_points = costs.float_acc_pct - costs.int8_acc_pct;
-
-  // Latency, batch 64: float engine vs the engine's int8 fast path.
-  runtime::Engine engine(std::move(net));
-  engine.warm_up(kBatch);
-  for (int r = 0; r < kBatch; ++r) {
-    const double* src = dataset.features(r % total);
-    for (int j = 0; j < nfeat; ++j) {
-      feats[static_cast<std::size_t>(r) * nfeat + j] = src[j];
-    }
-  }
-  constexpr int kReps = 2'000;
-  constexpr int kRounds = 5;
-  const auto per_row = [&](auto&& call) {
-    call();  // warm: sizes scratch, faults pages
-    std::uint64_t best = ~0ULL;
-    for (int r = 0; r < kRounds; ++r) {
-      const std::uint64_t start = kml_now_ns();
-      for (int i = 0; i < kReps; ++i) call();
-      const std::uint64_t elapsed = kml_now_ns() - start;
-      if (elapsed < best) best = elapsed;
-    }
-    return static_cast<double>(best) / (static_cast<double>(kReps) * kBatch);
-  };
-  costs.float_ns_per_row = per_row([&] {
-    benchmark::DoNotOptimize(engine.infer_batch_scores(
-        feats.data(), nfeat, kBatch, scores.data(), classes.data()));
-  });
-  engine.attach_quantized(std::move(quant));
-  costs.int8_ns_per_row = per_row([&] {
-    benchmark::DoNotOptimize(engine.infer_batch_scores_int8(
-        feats.data(), nfeat, kBatch, scores.data(), classes.data()));
-  });
-
-  std::printf("\n--- int8 quantized serving (batch %d, %s dispatch) ---\n",
-              kBatch, kml_simd_level_name(kml_simd_level()));
-  std::printf("float batched:  %8.1f ns/inference\n", costs.float_ns_per_row);
-  std::printf("int8 batched:   %8.1f ns/inference (target: < 300 ns) [%s]\n",
-              costs.int8_ns_per_row,
-              costs.int8_ns_per_row < 300.0 ? "PASS" : "FAIL");
-  std::printf("float accuracy: %6.2f%%  (Table 2 workload windows)\n",
-              costs.float_acc_pct);
-  std::printf("int8 accuracy:  %6.2f%%  (delta %.2f points, target <= 1) "
-              "[%s]\n",
-              costs.int8_acc_pct, costs.acc_delta_points,
-              costs.acc_delta_points <= 1.0 ? "PASS" : "FAIL");
-  return costs;
 }
 
 // --- batched-inference thread scaling -----------------------------------------
@@ -555,13 +444,14 @@ BatchScaling report_batch_thread_scaling() {
   const auto time_at = [&](unsigned threads) {
     kml_pool_set_threads(threads);
     // One untimed dispatch spawns/parks the workers for this setting.
-    engine.infer_batch(features.data(), kFeatures, kBatch, classes.data());
+    engine.infer_batch_scores(features.data(), kFeatures, kBatch, nullptr,
+                              classes.data());
     std::uint64_t best = ~0ULL;
     for (int r = 0; r < kRounds; ++r) {
       const std::uint64_t start = kml_now_ns();
       for (int i = 0; i < kReps; ++i) {
-        engine.infer_batch(features.data(), kFeatures, kBatch,
-                           classes.data());
+        engine.infer_batch_scores(features.data(), kFeatures, kBatch,
+                                  nullptr, classes.data());
       }
       const std::uint64_t elapsed = kml_now_ns() - start;
       if (elapsed < best) best = elapsed;
@@ -870,7 +760,6 @@ int main(int argc, char** argv) {
   const InferenceCosts inference = report_inference_allocations();
   const MatmulCosts matmul = report_matmul_speedup();
   const std::vector<TierRow> tiers = report_simd_tiers();
-  const Int8Costs int8 = report_int8_costs();
   const BatchScaling batch = report_batch_thread_scaling();
   if (!json) report_observe_overhead();
   const FlightOverhead flight = report_flight_overhead();
@@ -890,22 +779,7 @@ int main(int argc, char** argv) {
     for (const TierRow& row : tiers) {
       const std::string tier = kml_simd_level_name(row.level);
       report.add(("simd_matmul64_ns_" + tier).c_str(), row.matmul_ns);
-      report.add(("simd_gemm_s8_64_ns_" + tier).c_str(), row.gemm_s8_ns);
       report.add(("simd_exp4096_ns_" + tier).c_str(), row.exp_ns);
-    }
-    if (int8.available) {
-      report.add("int8_batch_infer_ns", int8.int8_ns_per_row);
-      report.add("float_batch_infer_ns", int8.float_ns_per_row);
-      report.add("float_accuracy_pct", int8.float_acc_pct);
-      report.add("int8_accuracy_pct", int8.int8_acc_pct);
-      report.add("int8_accuracy_delta_points", int8.acc_delta_points);
-    } else {
-      report.add_null("int8_batch_infer_ns");
-      report.add_null("float_batch_infer_ns");
-      report.add_null("float_accuracy_pct");
-      report.add_null("int8_accuracy_pct");
-      report.add_null("int8_accuracy_delta_points");
-      report.add_string("int8_skip_reason", "quantization failed");
     }
     report.add("batch_infer_ns_per_sample_threads1", batch.ns_per_sample_t1);
     if (batch.t4_meaningful) {

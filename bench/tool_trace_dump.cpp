@@ -75,10 +75,7 @@ int main(int argc, char** argv) {
   runtime::HealthMonitor monitor;
   engine.attach_health(&monitor);
   const readahead::ReadaheadTuner::PredictFn predictor =
-      [&engine](const readahead::FeatureVector& features) {
-        return engine.infer_class(features.data(),
-                                  readahead::kNumSelectedFeatures);
-      };
+      readahead::make_engine_predictor(engine);
   readahead::TunerConfig tuner_config;
   tuner_config.health = &monitor;
   std::printf("running closed loop (%llu virtual seconds, readrandom)...\n",

@@ -1,7 +1,6 @@
 #include "capi/kml_api.h"
 
 #include "dtree/decision_tree.h"
-#include "nn/network.h"
 #include "nn/serialize.h"
 #include "observe/export.h"
 #include "observe/flight_recorder.h"
@@ -21,13 +20,12 @@
 
 // Opaque handle definitions: thin wrappers over the C++ objects. All
 // C-visible functions are noexcept by construction (no exception may cross
-// the C boundary).
+// the C boundary). Both network handles wrap a runtime Engine, so every C
+// inference runs Engine::infer_batch_scores — the one forward path.
 struct kml_model {
-  kml::nn::Network net;
+  kml::runtime::Engine engine;
   int in_features;
   int num_classes;
-  // Input staging for the allocation-free inference path.
-  kml::matrix::MatD x_scratch;
 };
 
 struct kml_engine {
@@ -46,21 +44,42 @@ struct kml_health {
 
 namespace {
 
-// Feature counts derived from the layer chain (first/last linear layer).
-int chain_in_features(kml::nn::Network& net) {
-  for (int i = 0; i < net.num_layers(); ++i) {
-    const int in = net.layer(i).in_features();
-    if (in > 0) return in;
+// Load a model file into a network handle; warm_rows > 0 presizes the
+// engine's hot-path buffers for batches of that many rows.
+template <typename Handle>
+Handle* load_handle(const char* path, int warm_rows) {
+  if (path == nullptr) return nullptr;
+  kml::nn::Network net;
+  if (!kml::nn::load_model(net, path)) return nullptr;
+  auto* handle = new (std::nothrow)
+      Handle{kml::runtime::Engine(std::move(net)), 0, 0};
+  if (handle == nullptr) return nullptr;
+  handle->in_features = handle->engine.num_features();
+  handle->num_classes = handle->engine.num_classes();
+  if (handle->in_features <= 0 || handle->num_classes <= 0) {
+    delete handle;
+    return nullptr;
   }
-  return -1;
+  handle->engine.warm_up(warm_rows);
+  return handle;
 }
 
-int chain_out_features(kml::nn::Network& net) {
-  for (int i = net.num_layers() - 1; i >= 0; --i) {
-    const int out = net.layer(i).out_features();
-    if (out > 0) return out;
+// Classify `count` rows through the handle's engine; -1 on bad arguments.
+template <typename Handle>
+int infer_rows(const Handle* handle, const double* features, int n,
+               int count, int* classes_out) {
+  if (handle == nullptr || features == nullptr || classes_out == nullptr ||
+      n != handle->in_features || count <= 0) {
+    return -1;
   }
-  return -1;
+  return const_cast<Handle*>(handle)->engine.infer_batch_scores(
+      features, n, count, nullptr, classes_out);
+}
+
+template <typename Handle>
+int infer_one(const Handle* handle, const double* features, int n) {
+  int cls = -1;
+  return infer_rows(handle, features, n, 1, &cls) == 1 ? cls : -1;
 }
 
 }  // namespace
@@ -72,45 +91,16 @@ void kml_set_threads(unsigned n) { kml::kml_pool_set_threads(n); }
 unsigned kml_get_threads(void) { return kml::kml_pool_threads(); }
 
 kml_model* kml_model_load(const char* path) {
-  if (path == nullptr) return nullptr;
-  kml::nn::Network net;
-  if (!kml::nn::load_model(net, path)) return nullptr;
-  auto* handle = new (std::nothrow) kml_model{std::move(net), 0, 0};
-  if (handle == nullptr) return nullptr;
-  handle->in_features = chain_in_features(handle->net);
-  handle->num_classes = chain_out_features(handle->net);
-  if (handle->in_features <= 0 || handle->num_classes <= 0) {
-    delete handle;
-    return nullptr;
-  }
-  // The C API exposes no training entry points, so the backward-pass caches
-  // are dead weight: eval mode drops them and makes inference allocation-
-  // free at steady state.
-  handle->net.set_training(false);
-  return handle;
+  // The C API exposes no training entry points; the engine starts in
+  // inference mode, which drops the backward-pass caches and makes
+  // inference allocation-free at steady state.
+  return load_handle<kml_model>(path, 0);
 }
 
 void kml_model_destroy(kml_model* model) { delete model; }
 
 int kml_model_infer(const kml_model* model, const double* features, int n) {
-  if (model == nullptr || features == nullptr ||
-      n != model->in_features) {
-    return -1;
-  }
-  // Same latency histogram Engine::infer_class feeds: a C (kernel-module)
-  // caller gets the inference-p99 health signal for free.
-  KML_SPAN_NS(kml::observe::kMetricInferenceNs);
-  auto* m = const_cast<kml_model*>(model);
-  m->x_scratch.ensure_shape(1, n);
-  for (int j = 0; j < n; ++j) m->x_scratch.at(0, j) = features[j];
-  m->net.normalizer().transform_row(m->x_scratch.row(0), n);
-  const kml::matrix::MatD& out = m->net.forward_scratch(m->x_scratch);
-  const double* row = out.row(0);
-  int best = 0;
-  for (int j = 1; j < out.cols(); ++j) {
-    if (row[j] > row[best]) best = j;
-  }
-  return best;
+  return infer_one(model, features, n);
 }
 
 int kml_model_num_features(const kml_model* model) {
@@ -122,46 +112,25 @@ int kml_model_num_classes(const kml_model* model) {
 }
 
 size_t kml_model_weight_bytes(const kml_model* model) {
-  return model == nullptr ? 0 : model->net.param_bytes();
+  return model == nullptr
+             ? 0
+             : const_cast<kml_model*>(model)->engine.network().param_bytes();
 }
 
 kml_engine* kml_engine_load(const char* path) {
-  if (path == nullptr) return nullptr;
-  kml::nn::Network net;
-  if (!kml::nn::load_model(net, path)) return nullptr;
-  auto* handle = new (std::nothrow)
-      kml_engine{kml::runtime::Engine(std::move(net)), 0, 0};
-  if (handle == nullptr) return nullptr;
-  handle->in_features = chain_in_features(handle->engine.network());
-  handle->num_classes = chain_out_features(handle->engine.network());
-  if (handle->in_features <= 0 || handle->num_classes <= 0) {
-    delete handle;
-    return nullptr;
-  }
-  handle->engine.warm_up(KML_ENGINE_DEFAULT_BATCH);
-  return handle;
+  return load_handle<kml_engine>(path, KML_ENGINE_DEFAULT_BATCH);
 }
 
 void kml_engine_destroy(kml_engine* engine) { delete engine; }
 
 int kml_engine_infer(const kml_engine* engine, const double* features,
                      int n) {
-  if (engine == nullptr || features == nullptr ||
-      n != engine->in_features) {
-    return -1;
-  }
-  return const_cast<kml_engine*>(engine)->engine.infer_class(features, n);
+  return infer_one(engine, features, n);
 }
 
 int kml_engine_infer_batch(const kml_engine* engine, const double* features,
                            int n, int count, int* classes_out) {
-  if (engine == nullptr || features == nullptr || classes_out == nullptr ||
-      n != engine->in_features || count <= 0) {
-    return -1;
-  }
-  return const_cast<kml_engine*>(engine)->engine.infer_batch(features, n,
-                                                             count,
-                                                             classes_out);
+  return infer_rows(engine, features, n, count, classes_out);
 }
 
 int kml_engine_num_features(const kml_engine* engine) {

@@ -154,7 +154,10 @@ void CacheTuner::close_window() {
 
 CacheTuner::PredictFn make_cache_engine_predictor(runtime::Engine& engine) {
   return [&engine](const CacheFeatureVector& features) {
-    return engine.infer_class(features.data(), kNumCacheFeatures);
+    int cls = -1;
+    engine.infer_batch_scores(features.data(), kNumCacheFeatures, 1, nullptr,
+                              &cls);
+    return cls;
   };
 }
 
@@ -165,8 +168,8 @@ CacheBatchPredictFn make_cache_engine_batch_predictor(
   return [&engine](const CacheFeatureVector* features, int count,
                    int* classes_out) {
     if (features == nullptr || count <= 0) return;
-    engine.infer_batch(features->data(), kNumCacheFeatures, count,
-                       classes_out);
+    engine.infer_batch_scores(features->data(), kNumCacheFeatures, count,
+                              nullptr, classes_out);
   };
 }
 

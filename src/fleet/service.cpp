@@ -208,14 +208,8 @@ void FleetService::decide_batch(const QueuedWindow* windows, int rows,
     KML_HIST_RECORD(observe::kMetricFleetStageCoalesceNs, t1 - t0);
   }
   const int done =
-      config_.use_int8
-          ? engine_.infer_batch_scores_int8(batch_features_.data(),
-                                            feature_dim_, rows,
-                                            batch_scores_.data(),
-                                            batch_classes_.data())
-          : engine_.infer_batch_scores(batch_features_.data(), feature_dim_,
-                                       rows, batch_scores_.data(),
-                                       batch_classes_.data());
+      engine_.infer_batch_scores(batch_features_.data(), feature_dim_, rows,
+                                 batch_scores_.data(), batch_classes_.data());
   if (done != rows) {
     // The whole staged batch is lost; make that visible instead of letting
     // windows vanish between submitted and decided.

@@ -105,12 +105,6 @@ struct FleetConfig {
   // (coalesce/infer/decide) are never sampled.
   std::uint32_t stage_sample_shift = 3;
   const runtime::HealthMonitor* health = nullptr;
-  // Serve batches through the engine's attached int8 network
-  // (Engine::infer_batch_scores_int8). Requires attach_quantized() on the
-  // engine before the first drain; without it the engine falls back to the
-  // float path with a one-shot warning, so flipping this on is safe but
-  // only fast once the quantized copy is attached.
-  bool use_int8 = false;
 };
 
 enum class SubmitResult {

@@ -2,80 +2,55 @@
 
 #include "portability/simd.h"
 #include "portability/threadpool.h"
+#include "portability/tiled_matmul.h"
 
 namespace kml::matrix {
 
 namespace {
 
-// --- SIMD seam routing -------------------------------------------------------
+// --- kernel routing ----------------------------------------------------------
 //
-// double/float kernels route through portability/simd.h whenever a vector
-// tier is active. The parallel split (kMr row stripes / element chunks,
-// same par_grain policy) is unchanged, and the seam's determinism contract
-// makes every tier bit-identical to the scalar tiled path — so routing is
-// a pure speed decision, invisible to results. int and math::Fixed always
-// take the tiled scalar path.
+// double/float kernels always go through the SIMD seam (portability/
+// simd.h), whose scalar tier is the register-tiled kernel and whose vector
+// tiers are bit-identical to it, so the dispatch tier is a pure speed
+// decision. int and math::Fixed have no seam entry: they run the same
+// tiled template directly, and plain loops for the elementwise ops.
 
 template <typename T>
-inline constexpr bool kSimdRouted = false;
+struct Kernels {
+  static constexpr auto mm = &tiled_matmul<T>;
+  static constexpr auto mm_bt = &tiled_matmul_bt<T>;
+  static constexpr auto mm_at = &tiled_matmul_at<T>;
+  static void add(const T* a, const T* b, T* o, long n) {
+    for (long i = 0; i < n; ++i) o[i] = a[i] + b[i];
+  }
+  static void sub(const T* a, const T* b, T* o, long n) {
+    for (long i = 0; i < n; ++i) o[i] = a[i] - b[i];
+  }
+  static void mul(const T* a, const T* b, T* o, long n) {
+    for (long i = 0; i < n; ++i) o[i] = a[i] * b[i];
+  }
+};
+
 template <>
-inline constexpr bool kSimdRouted<double> = true;
+struct Kernels<double> {
+  static constexpr auto mm = &kml_simd_matmul_f64;
+  static constexpr auto mm_bt = &kml_simd_matmul_bt_f64;
+  static constexpr auto mm_at = &kml_simd_matmul_at_f64;
+  static constexpr auto add = &kml_simd_add_f64;
+  static constexpr auto sub = &kml_simd_sub_f64;
+  static constexpr auto mul = &kml_simd_mul_f64;
+};
+
 template <>
-inline constexpr bool kSimdRouted<float> = true;
-
-inline bool simd_active() {
-  return kml_simd_level() != SimdLevel::kScalar;
-}
-
-inline void simd_mm(const double* a, int lda, const double* b, int ldb,
-                    double* o, int ldo, int m, int n, int k) {
-  kml_simd_matmul_f64(a, lda, b, ldb, o, ldo, m, n, k);
-}
-inline void simd_mm(const float* a, int lda, const float* b, int ldb,
-                    float* o, int ldo, int m, int n, int k) {
-  kml_simd_matmul_f32(a, lda, b, ldb, o, ldo, m, n, k);
-}
-inline void simd_mm_bt(const double* a, int lda, const double* b, int ldb,
-                       double* o, int ldo, int m, int n, int k) {
-  kml_simd_matmul_bt_f64(a, lda, b, ldb, o, ldo, m, n, k);
-}
-inline void simd_mm_bt(const float* a, int lda, const float* b, int ldb,
-                       float* o, int ldo, int m, int n, int k) {
-  kml_simd_matmul_bt_f32(a, lda, b, ldb, o, ldo, m, n, k);
-}
-inline void simd_mm_at(const double* a, int lda, const double* b, int ldb,
-                       double* o, int ldo, int m, int n, int k) {
-  kml_simd_matmul_at_f64(a, lda, b, ldb, o, ldo, m, n, k);
-}
-inline void simd_mm_at(const float* a, int lda, const float* b, int ldb,
-                       float* o, int ldo, int m, int n, int k) {
-  kml_simd_matmul_at_f32(a, lda, b, ldb, o, ldo, m, n, k);
-}
-inline void simd_ew_add(const double* a, const double* b, double* o, long n) {
-  kml_simd_add_f64(a, b, o, n);
-}
-inline void simd_ew_add(const float* a, const float* b, float* o, long n) {
-  kml_simd_add_f32(a, b, o, n);
-}
-inline void simd_ew_sub(const double* a, const double* b, double* o, long n) {
-  kml_simd_sub_f64(a, b, o, n);
-}
-inline void simd_ew_sub(const float* a, const float* b, float* o, long n) {
-  kml_simd_sub_f32(a, b, o, n);
-}
-inline void simd_ew_mul(const double* a, const double* b, double* o, long n) {
-  kml_simd_mul_f64(a, b, o, n);
-}
-inline void simd_ew_mul(const float* a, const float* b, float* o, long n) {
-  kml_simd_mul_f32(a, b, o, n);
-}
-
-// Register-tile footprint: kMr x kNr partial sums held in locals across the
-// whole k loop. 8 x 4 measured fastest at -O2 on baseline x86-64 (SSE2):
-// each tile row is two 2-wide vector accumulators, and the tall tile
-// amortizes every b-row load across eight rows of a.
-constexpr int kMr = 8;
-constexpr int kNr = 4;
+struct Kernels<float> {
+  static constexpr auto mm = &kml_simd_matmul_f32;
+  static constexpr auto mm_bt = &kml_simd_matmul_bt_f32;
+  static constexpr auto mm_at = &kml_simd_matmul_at_f32;
+  static constexpr auto add = &kml_simd_add_f32;
+  static constexpr auto sub = &kml_simd_sub_f32;
+  static constexpr auto mul = &kml_simd_mul_f32;
+};
 
 // Parallelization policy. Kernels partition independent output rows (or
 // elements) across the pool with static chunking: every output element is
@@ -93,124 +68,32 @@ inline long par_grain(long work_per_unit) {
   return g < 1 ? 1 : g;
 }
 
-// One output tile of matmul: out[i0..i0+mr) x [j0..j0+nr) = a * b over the
-// full k range, k strictly ascending per element (bit-identity contract).
-// The mr==kMr && nr==kNr fast path gives the compiler constant trip counts
-// to unroll/vectorize; ragged edge tiles take the runtime-bound path.
-template <typename T, int MR, int NR>
-inline void matmul_tile_fixed(const T* a, int lda, const T* b, int ldb,
-                              T* out, int ldo, int kdim) {
-  T acc[MR][NR] = {};
-  for (int k = 0; k < kdim; ++k) {
-    const T* brow = b + static_cast<std::size_t>(k) * ldb;
-    for (int mi = 0; mi < MR; ++mi) {
-      const T aik = a[static_cast<std::size_t>(mi) * lda + k];
-      for (int ni = 0; ni < NR; ++ni) acc[mi][ni] += aik * brow[ni];
-    }
-  }
-  for (int mi = 0; mi < MR; ++mi) {
-    for (int ni = 0; ni < NR; ++ni) {
-      out[static_cast<std::size_t>(mi) * ldo + ni] = acc[mi][ni];
-    }
-  }
+// Parallel loop of the matmul family: partitions the m output rows into
+// kTileM-row stripes across the pool and hands each worker's contiguous run
+// of stripes, as (first row, row count), to `kernel`. Stripes are disjoint,
+// so every output element stays on exactly one worker.
+template <typename T, typename Kernel>
+void for_row_stripes(int m, int n, int kdim, Kernel&& kernel) {
+  FpuGuard<T> guard;
+  const long blocks = (m + kTileM - 1) / kTileM;
+  const long block_work = static_cast<long>(kTileM) * n * kdim;
+  parallel_for(blocks, par_grain(block_work), [&](long b0, long b1, int) {
+    FpuGuard<T> wguard;
+    const int i0 = static_cast<int>(b0) * kTileM;
+    const long hi = b1 * kTileM;
+    const int i1 = hi < m ? static_cast<int>(hi) : m;
+    kernel(i0, i1 - i0);
+  });
 }
 
-template <typename T>
-inline void matmul_tile_edge(const T* a, int lda, const T* b, int ldb, T* out,
-                             int ldo, int kdim, int mr, int nr) {
-  T acc[kMr][kNr] = {};
-  for (int k = 0; k < kdim; ++k) {
-    const T* brow = b + static_cast<std::size_t>(k) * ldb;
-    for (int mi = 0; mi < mr; ++mi) {
-      const T aik = a[static_cast<std::size_t>(mi) * lda + k];
-      for (int ni = 0; ni < nr; ++ni) acc[mi][ni] += aik * brow[ni];
-    }
-  }
-  for (int mi = 0; mi < mr; ++mi) {
-    for (int ni = 0; ni < nr; ++ni) {
-      out[static_cast<std::size_t>(mi) * ldo + ni] = acc[mi][ni];
-    }
-  }
-}
-
-// Tile of out = a^T * b: a is (kdim x m) so the mi-th tile row reads a's
-// column i0+mi, stride lda. Same ascending-k reduction.
-template <typename T, int MR, int NR>
-inline void matmul_at_tile_fixed(const T* a, int lda, const T* b, int ldb,
-                                 T* out, int ldo, int kdim) {
-  T acc[MR][NR] = {};
-  for (int k = 0; k < kdim; ++k) {
-    const T* arow = a + static_cast<std::size_t>(k) * lda;
-    const T* brow = b + static_cast<std::size_t>(k) * ldb;
-    for (int mi = 0; mi < MR; ++mi) {
-      const T aki = arow[mi];
-      for (int ni = 0; ni < NR; ++ni) acc[mi][ni] += aki * brow[ni];
-    }
-  }
-  for (int mi = 0; mi < MR; ++mi) {
-    for (int ni = 0; ni < NR; ++ni) {
-      out[static_cast<std::size_t>(mi) * ldo + ni] = acc[mi][ni];
-    }
-  }
-}
-
-template <typename T>
-inline void matmul_at_tile_edge(const T* a, int lda, const T* b, int ldb,
-                                T* out, int ldo, int kdim, int mr, int nr) {
-  T acc[kMr][kNr] = {};
-  for (int k = 0; k < kdim; ++k) {
-    const T* arow = a + static_cast<std::size_t>(k) * lda;
-    const T* brow = b + static_cast<std::size_t>(k) * ldb;
-    for (int mi = 0; mi < mr; ++mi) {
-      const T aki = arow[mi];
-      for (int ni = 0; ni < nr; ++ni) acc[mi][ni] += aki * brow[ni];
-    }
-  }
-  for (int mi = 0; mi < mr; ++mi) {
-    for (int ni = 0; ni < nr; ++ni) {
-      out[static_cast<std::size_t>(mi) * ldo + ni] = acc[mi][ni];
-    }
-  }
-}
-
-// Tile of out = a * b^T: both operands are walked along their rows, the
-// reduction is a dot product per element, k ascending as in the naive dot.
-template <typename T, int MR, int NR>
-inline void matmul_bt_tile_fixed(const T* a, int lda, const T* b, int ldb,
-                                 T* out, int ldo, int kdim) {
-  T acc[MR][NR] = {};
-  for (int k = 0; k < kdim; ++k) {
-    for (int mi = 0; mi < MR; ++mi) {
-      const T aik = a[static_cast<std::size_t>(mi) * lda + k];
-      for (int ni = 0; ni < NR; ++ni) {
-        acc[mi][ni] += aik * b[static_cast<std::size_t>(ni) * ldb + k];
-      }
-    }
-  }
-  for (int mi = 0; mi < MR; ++mi) {
-    for (int ni = 0; ni < NR; ++ni) {
-      out[static_cast<std::size_t>(mi) * ldo + ni] = acc[mi][ni];
-    }
-  }
-}
-
-template <typename T>
-inline void matmul_bt_tile_edge(const T* a, int lda, const T* b, int ldb,
-                                T* out, int ldo, int kdim, int mr, int nr) {
-  T acc[kMr][kNr] = {};
-  for (int k = 0; k < kdim; ++k) {
-    for (int mi = 0; mi < mr; ++mi) {
-      const T aik = a[static_cast<std::size_t>(mi) * lda + k];
-      for (int ni = 0; ni < nr; ++ni) {
-        acc[mi][ni] += aik * b[static_cast<std::size_t>(ni) * ldb + k];
-      }
-    }
-  }
-  for (int mi = 0; mi < mr; ++mi) {
-    for (int ni = 0; ni < nr; ++ni) {
-      out[static_cast<std::size_t>(mi) * ldo + ni] = acc[mi][ni];
-    }
-  }
+// Parallel loop of the elementwise ops: element chunks across the pool.
+template <typename T, typename Span>
+void for_element_chunks(long size, Span&& span) {
+  FpuGuard<T> guard;
+  parallel_for(size, par_grain(1), [&](long i0, long i1, int) {
+    FpuGuard<T> wguard;
+    span(i0, i1 - i0);
+  });
 }
 
 }  // namespace
@@ -219,50 +102,14 @@ template <typename T>
 void matmul(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
   assert(a.cols() == b.rows());
   assert(out.rows() == a.rows() && out.cols() == b.cols());
-  FpuGuard<T> guard;
-  const int m = a.rows();
-  const int n = b.cols();
-  const int kdim = a.cols();
   const int lda = a.cols();
   const int ldb = b.cols();
   const int ldo = out.cols();
-  // Row-blocks are independent: each writes a disjoint kMr-row stripe of
-  // out. Partitioning them across workers keeps every output element on
-  // exactly one worker with the same k-ascending tile loops.
-  const long blocks = (m + kMr - 1) / kMr;
-  const long block_work = static_cast<long>(kMr) * n * kdim;
-  if constexpr (kSimdRouted<T>) {
-    if (simd_active()) {
-      parallel_for(blocks, par_grain(block_work), [&](long b0, long b1, int) {
-        FpuGuard<T> wguard;
-        const int i0 = static_cast<int>(b0) * kMr;
-        const long hi = b1 * kMr;
-        const int i1 = hi < m ? static_cast<int>(hi) : m;
-        simd_mm(a.data() + static_cast<std::size_t>(i0) * lda, lda, b.data(),
-                ldb, out.data() + static_cast<std::size_t>(i0) * ldo, ldo,
-                i1 - i0, n, kdim);
-      });
-      return;
-    }
-  }
-  parallel_for(blocks, par_grain(block_work), [&](long b0, long b1, int) {
-    FpuGuard<T> wguard;
-    for (long bi = b0; bi < b1; ++bi) {
-      const int i0 = static_cast<int>(bi) * kMr;
-      const int mr = m - i0 < kMr ? m - i0 : kMr;
-      const T* atile = a.data() + static_cast<std::size_t>(i0) * lda;
-      for (int j0 = 0; j0 < n; j0 += kNr) {
-        const int nr = n - j0 < kNr ? n - j0 : kNr;
-        T* otile = out.data() + static_cast<std::size_t>(i0) * ldo + j0;
-        if (mr == kMr && nr == kNr) {
-          matmul_tile_fixed<T, kMr, kNr>(atile, lda, b.data() + j0, ldb,
-                                         otile, ldo, kdim);
-        } else {
-          matmul_tile_edge<T>(atile, lda, b.data() + j0, ldb, otile, ldo,
-                              kdim, mr, nr);
-        }
-      }
-    }
+  for_row_stripes<T>(a.rows(), b.cols(), a.cols(), [&](int i0, int rows) {
+    Kernels<T>::mm(a.data() + static_cast<std::size_t>(i0) * lda, lda,
+                   b.data(), ldb,
+                   out.data() + static_cast<std::size_t>(i0) * ldo, ldo, rows,
+                   b.cols(), a.cols());
   });
 }
 
@@ -270,49 +117,14 @@ template <typename T>
 void matmul_bt(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
   assert(a.cols() == b.cols());
   assert(out.rows() == a.rows() && out.cols() == b.rows());
-  FpuGuard<T> guard;
-  const int m = a.rows();
-  const int n = b.rows();
-  const int kdim = a.cols();
   const int lda = a.cols();
   const int ldb = b.cols();
   const int ldo = out.cols();
-  const long blocks = (m + kMr - 1) / kMr;
-  const long block_work = static_cast<long>(kMr) * n * kdim;
-  if constexpr (kSimdRouted<T>) {
-    if (simd_active()) {
-      parallel_for(blocks, par_grain(block_work), [&](long b0, long b1, int) {
-        FpuGuard<T> wguard;
-        const int i0 = static_cast<int>(b0) * kMr;
-        const long hi = b1 * kMr;
-        const int i1 = hi < m ? static_cast<int>(hi) : m;
-        simd_mm_bt(a.data() + static_cast<std::size_t>(i0) * lda, lda,
-                   b.data(), ldb,
-                   out.data() + static_cast<std::size_t>(i0) * ldo, ldo,
-                   i1 - i0, n, kdim);
-      });
-      return;
-    }
-  }
-  parallel_for(blocks, par_grain(block_work), [&](long b0, long b1, int) {
-    FpuGuard<T> wguard;
-    for (long bi = b0; bi < b1; ++bi) {
-      const int i0 = static_cast<int>(bi) * kMr;
-      const int mr = m - i0 < kMr ? m - i0 : kMr;
-      const T* atile = a.data() + static_cast<std::size_t>(i0) * lda;
-      for (int j0 = 0; j0 < n; j0 += kNr) {
-        const int nr = n - j0 < kNr ? n - j0 : kNr;
-        const T* btile = b.data() + static_cast<std::size_t>(j0) * ldb;
-        T* otile = out.data() + static_cast<std::size_t>(i0) * ldo + j0;
-        if (mr == kMr && nr == kNr) {
-          matmul_bt_tile_fixed<T, kMr, kNr>(atile, lda, btile, ldb, otile,
-                                            ldo, kdim);
-        } else {
-          matmul_bt_tile_edge<T>(atile, lda, btile, ldb, otile, ldo, kdim,
-                                 mr, nr);
-        }
-      }
-    }
+  for_row_stripes<T>(a.rows(), b.rows(), a.cols(), [&](int i0, int rows) {
+    Kernels<T>::mm_bt(a.data() + static_cast<std::size_t>(i0) * lda, lda,
+                      b.data(), ldb,
+                      out.data() + static_cast<std::size_t>(i0) * ldo, ldo,
+                      rows, b.rows(), a.cols());
   });
 }
 
@@ -320,47 +132,14 @@ template <typename T>
 void matmul_at(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
   assert(a.rows() == b.rows());
   assert(out.rows() == a.cols() && out.cols() == b.cols());
-  FpuGuard<T> guard;
-  const int m = a.cols();
-  const int n = b.cols();
-  const int kdim = a.rows();
   const int lda = a.cols();
   const int ldb = b.cols();
   const int ldo = out.cols();
-  const long blocks = (m + kMr - 1) / kMr;
-  const long block_work = static_cast<long>(kMr) * n * kdim;
-  if constexpr (kSimdRouted<T>) {
-    if (simd_active()) {
-      parallel_for(blocks, par_grain(block_work), [&](long b0, long b1, int) {
-        FpuGuard<T> wguard;
-        const int i0 = static_cast<int>(b0) * kMr;
-        const long hi = b1 * kMr;
-        const int i1 = hi < m ? static_cast<int>(hi) : m;
-        // The stripe offsets a by i0 COLUMNS (out-row i reads a's column i).
-        simd_mm_at(a.data() + i0, lda, b.data(), ldb,
-                   out.data() + static_cast<std::size_t>(i0) * ldo, ldo,
-                   i1 - i0, n, kdim);
-      });
-      return;
-    }
-  }
-  parallel_for(blocks, par_grain(block_work), [&](long b0, long b1, int) {
-    FpuGuard<T> wguard;
-    for (long bi = b0; bi < b1; ++bi) {
-      const int i0 = static_cast<int>(bi) * kMr;
-      const int mr = m - i0 < kMr ? m - i0 : kMr;
-      for (int j0 = 0; j0 < n; j0 += kNr) {
-        const int nr = n - j0 < kNr ? n - j0 : kNr;
-        T* otile = out.data() + static_cast<std::size_t>(i0) * ldo + j0;
-        if (mr == kMr && nr == kNr) {
-          matmul_at_tile_fixed<T, kMr, kNr>(a.data() + i0, lda, b.data() + j0,
-                                            ldb, otile, ldo, kdim);
-        } else {
-          matmul_at_tile_edge<T>(a.data() + i0, lda, b.data() + j0, ldb,
-                                 otile, ldo, kdim, mr, nr);
-        }
-      }
-    }
+  for_row_stripes<T>(a.cols(), b.cols(), a.rows(), [&](int i0, int rows) {
+    // The stripe offsets a by i0 COLUMNS (out-row i reads a's column i).
+    Kernels<T>::mm_at(a.data() + i0, lda, b.data(), ldb,
+                      out.data() + static_cast<std::size_t>(i0) * ldo, ldo,
+                      rows, b.cols(), a.rows());
   });
 }
 
@@ -422,78 +201,34 @@ void matmul_at_naive(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
 template <typename T>
 void add(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
   assert(a.same_shape(b) && a.same_shape(out));
-  FpuGuard<T> guard;
-  parallel_for(static_cast<long>(a.size()), par_grain(1),
-               [&](long i0, long i1, int) {
-                 FpuGuard<T> wguard;
-                 if constexpr (kSimdRouted<T>) {
-                   if (simd_active()) {
-                     simd_ew_add(a.data() + i0, b.data() + i0,
-                                 out.data() + i0, i1 - i0);
-                     return;
-                   }
-                 }
-                 for (long i = i0; i < i1; ++i) {
-                   out.data()[i] = a.data()[i] + b.data()[i];
-                 }
-               });
+  for_element_chunks<T>(static_cast<long>(a.size()), [&](long i0, long len) {
+    Kernels<T>::add(a.data() + i0, b.data() + i0, out.data() + i0, len);
+  });
 }
 
 template <typename T>
 void sub(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
   assert(a.same_shape(b) && a.same_shape(out));
-  FpuGuard<T> guard;
-  parallel_for(static_cast<long>(a.size()), par_grain(1),
-               [&](long i0, long i1, int) {
-                 FpuGuard<T> wguard;
-                 if constexpr (kSimdRouted<T>) {
-                   if (simd_active()) {
-                     simd_ew_sub(a.data() + i0, b.data() + i0,
-                                 out.data() + i0, i1 - i0);
-                     return;
-                   }
-                 }
-                 for (long i = i0; i < i1; ++i) {
-                   out.data()[i] = a.data()[i] - b.data()[i];
-                 }
-               });
+  for_element_chunks<T>(static_cast<long>(a.size()), [&](long i0, long len) {
+    Kernels<T>::sub(a.data() + i0, b.data() + i0, out.data() + i0, len);
+  });
 }
 
 template <typename T>
 void hadamard(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
   assert(a.same_shape(b) && a.same_shape(out));
-  FpuGuard<T> guard;
-  parallel_for(static_cast<long>(a.size()), par_grain(1),
-               [&](long i0, long i1, int) {
-                 FpuGuard<T> wguard;
-                 if constexpr (kSimdRouted<T>) {
-                   if (simd_active()) {
-                     simd_ew_mul(a.data() + i0, b.data() + i0,
-                                 out.data() + i0, i1 - i0);
-                     return;
-                   }
-                 }
-                 for (long i = i0; i < i1; ++i) {
-                   out.data()[i] = a.data()[i] * b.data()[i];
-                 }
-               });
+  for_element_chunks<T>(static_cast<long>(a.size()), [&](long i0, long len) {
+    Kernels<T>::mul(a.data() + i0, b.data() + i0, out.data() + i0, len);
+  });
 }
 
 void axpy(double alpha, const MatD& b, MatD& a) {
   assert(a.same_shape(b));
-  FpuGuard<double> guard;
-  parallel_for(static_cast<long>(a.size()), par_grain(1),
-               [&](long i0, long i1, int) {
-                 FpuGuard<double> wguard;
-                 if (simd_active()) {
-                   kml_simd_axpy_f64(alpha, b.data() + i0, a.data() + i0,
-                                     i1 - i0);
-                   return;
-                 }
-                 for (long i = i0; i < i1; ++i) {
-                   a.data()[i] += alpha * b.data()[i];
-                 }
-               });
+  for_element_chunks<double>(static_cast<long>(a.size()),
+                             [&](long i0, long len) {
+                               kml_simd_axpy_f64(alpha, b.data() + i0,
+                                                 a.data() + i0, len);
+                             });
 }
 
 template <typename T>
@@ -508,16 +243,10 @@ Mat<T> transpose(const Mat<T>& m) {
 }
 
 void scale(MatD& m, double alpha) {
-  FpuGuard<double> guard;
-  parallel_for(static_cast<long>(m.size()), par_grain(1),
-               [&](long i0, long i1, int) {
-                 FpuGuard<double> wguard;
-                 if (simd_active()) {
-                   kml_simd_scale_f64(m.data() + i0, alpha, i1 - i0);
-                   return;
-                 }
-                 for (long i = i0; i < i1; ++i) m.data()[i] *= alpha;
-               });
+  for_element_chunks<double>(static_cast<long>(m.size()),
+                             [&](long i0, long len) {
+                               kml_simd_scale_f64(m.data() + i0, alpha, len);
+                             });
 }
 
 void add_bias_row(MatD& a, const MatD& bias) {
@@ -525,16 +254,9 @@ void add_bias_row(MatD& a, const MatD& bias) {
   FpuGuard<double> guard;
   parallel_for(a.rows(), par_grain(a.cols()), [&](long r0, long r1, int) {
     FpuGuard<double> wguard;
-    if (simd_active()) {
-      for (long i = r0; i < r1; ++i) {
-        double* arow = a.row(static_cast<int>(i));
-        kml_simd_add_f64(arow, bias.row(0), arow, a.cols());
-      }
-      return;
-    }
     for (long i = r0; i < r1; ++i) {
       double* arow = a.row(static_cast<int>(i));
-      for (int j = 0; j < a.cols(); ++j) arow[j] += bias.at(0, j);
+      kml_simd_add_f64(arow, bias.row(0), arow, a.cols());
     }
   });
 }

@@ -8,28 +8,29 @@
 
 namespace kml::matrix {
 
-// out = a * b  (m x k) * (k x n) -> (m x n). Register-tiled kernel: the
-// output is walked in MR x NR blocks whose partial sums live in registers,
-// so each b-row load is reused across MR output rows instead of once per
-// row. Only the i/j loops are blocked — per output element the k reduction
-// runs ascending exactly as in matmul_naive, so results are bit-identical
-// (FP addition order is preserved, not just mathematically equal).
+// out = a * b  (m x k) * (k x n) -> (m x n). Row stripes run in parallel
+// on the thread pool; double and float stripes go through the SIMD seam
+// (portability/simd.h), int and Fixed stripes through its scalar tier, the
+// register-tiled kernel (portability/tiled_matmul.h). Per output element
+// the k reduction runs ascending exactly as in matmul_naive, so results are
+// bit-identical at every tier and thread count (FP addition order is
+// preserved, not just mathematically equal).
 template <typename T>
 void matmul(const Mat<T>& a, const Mat<T>& b, Mat<T>& out);
 
 // out = a * b^T  (m x k) * (n x k)^T -> (m x n); the backward-pass shape.
-// Blocked like matmul; bit-identical to matmul_bt_naive.
+// Routed like matmul; bit-identical to matmul_bt_naive.
 template <typename T>
 void matmul_bt(const Mat<T>& a, const Mat<T>& b, Mat<T>& out);
 
 // out = a^T * b  (k x m)^T * (k x n) -> (m x n); weight-gradient shape.
-// Blocked like matmul; bit-identical to matmul_at_naive.
+// Routed like matmul; bit-identical to matmul_at_naive.
 template <typename T>
 void matmul_at(const Mat<T>& a, const Mat<T>& b, Mat<T>& out);
 
-// Reference single-loop-nest kernels (the pre-blocking implementations).
-// Kept as the ground truth for the equivalence tests and the baseline for
-// the blocked-vs-naive throughput benchmark.
+// Reference single-loop-nest kernels. Kept as the one ground truth for the
+// equivalence tests and the baseline for the tiled-vs-naive throughput
+// benchmark.
 template <typename T>
 void matmul_naive(const Mat<T>& a, const Mat<T>& b, Mat<T>& out);
 template <typename T>

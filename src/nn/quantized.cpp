@@ -1,48 +1,12 @@
 #include "nn/quantized.h"
 
-#include "math/stats.h"
-#include "nn/activations.h"
 #include "nn/linear.h"
 #include "portability/log.h"
-#include "portability/simd.h"
-
-#include <cassert>
 
 namespace kml::nn {
 namespace {
 
 constexpr double kQMax = 32000.0;  // safe margin inside Q16.16 range
-
-// Symmetric int8 grid: ±127 only. -128 is excluded so negation is closed
-// and the scale maps the max-abs value exactly onto the grid edge.
-constexpr double kInt8Max = 127.0;
-
-// Round-to-nearest (ties away from zero) with saturation. The clamp
-// happens BEFORE the int cast: casting an out-of-range double to a signed
-// integer is undefined behavior (the UBSan suite covers this path with
-// values far outside the grid).
-std::int8_t quantize_sat(double x, double inv_scale) {
-  double t = x * inv_scale;
-  t += t >= 0.0 ? 0.5 : -0.5;
-  if (t > kInt8Max) t = kInt8Max;
-  if (t < -kInt8Max) t = -kInt8Max;
-  return static_cast<std::int8_t>(t);
-}
-
-double max_abs(const double* data, std::size_t n) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double a = math::kml_abs(data[i]);
-    if (a > m) m = a;
-  }
-  return m;
-}
-
-// maxabs/127, floored so an all-zero tensor still yields a usable scale
-// (everything quantizes to 0 either way).
-double symmetric_scale(double maxabs) {
-  return maxabs < 1e-30 ? 1.0 / kInt8Max : maxabs / kInt8Max;
-}
 
 bool in_range(const matrix::MatD& m) {
   for (std::size_t i = 0; i < m.size(); ++i) {
@@ -112,12 +76,17 @@ bool QuantizedNetwork::quantize(const Network& net, QuantizedNetwork& out) {
     const double inv = stds[j] < 1e-9 ? 0.0 : 1.0 / stds[j];
     q.norm_inv_std_.push_back(math::Fixed::from_double(inv));
   }
+  if (!q.chains()) {
+    KML_ERROR("quantize: layer or normalizer widths do not chain");
+    return false;
+  }
   out = std::move(q);
   return true;
 }
 
 matrix::MatX QuantizedNetwork::forward(const matrix::MatX& in) const {
-  if (mode_ == QuantMode::kInt8) return matrix::MatX();  // fixed-point only
+  const int width = in_features();
+  if (width > 0 && in.cols() != width) return matrix::MatX();
   matrix::MatX activation = in;
   for (const QLayer& layer : layers_) {
     if (layer.type == LayerType::kLinear) {
@@ -140,16 +109,7 @@ matrix::MatX QuantizedNetwork::forward(const matrix::MatX& in) const {
 }
 
 int QuantizedNetwork::infer_class(const double* features, int n) const {
-  if (mode_ == QuantMode::kInt8) {
-    scores_.resize(static_cast<std::size_t>(out_features()));
-    int cls = -1;
-    if (infer_batch_scores(features, n, 1, scores_.data(), &cls) != 1) {
-      return -1;
-    }
-    return cls;
-  }
-  assert(static_cast<std::size_t>(n) == norm_mean_.size() ||
-         norm_mean_.empty());
+  if (features == nullptr || n <= 0 || n != in_features()) return -1;
   matrix::MatX x(1, n);
   for (int j = 0; j < n; ++j) {
     math::Fixed v = math::Fixed::from_double(features[j]);
@@ -168,17 +128,10 @@ int QuantizedNetwork::infer_class(const double* features, int n) const {
 }
 
 int QuantizedNetwork::num_layers() const {
-  return mode_ == QuantMode::kInt8 ? static_cast<int>(int8_layers_.size())
-                                   : static_cast<int>(layers_.size());
+  return static_cast<int>(layers_.size());
 }
 
 int QuantizedNetwork::in_features() const {
-  if (mode_ == QuantMode::kInt8) {
-    for (const Int8Layer& layer : int8_layers_) {
-      if (layer.type == LayerType::kLinear) return layer.weights.rows();
-    }
-    return 0;
-  }
   for (const QLayer& layer : layers_) {
     if (layer.type == LayerType::kLinear) return layer.weights.rows();
   }
@@ -186,201 +139,30 @@ int QuantizedNetwork::in_features() const {
 }
 
 int QuantizedNetwork::out_features() const {
-  if (mode_ == QuantMode::kInt8) {
-    for (auto it = int8_layers_.rbegin(); it != int8_layers_.rend(); ++it) {
-      if (it->type == LayerType::kLinear) return it->weights.cols();
-    }
-    return 0;
-  }
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     if (it->type == LayerType::kLinear) return it->weights.cols();
   }
   return 0;
 }
 
-bool QuantizedNetwork::quantize_int8(const Network& net,
-                                     const matrix::MatD& calib_raw,
-                                     QuantizedNetwork& out) {
-  QuantizedNetwork q;
-  q.mode_ = QuantMode::kInt8;
-
-  std::vector<double> means;
-  std::vector<double> stds;
-  net.normalizer().export_moments(means, stds);
-  if (calib_raw.rows() == 0 ||
-      (means.size() != 0 &&
-       calib_raw.cols() != static_cast<int>(means.size()))) {
-    KML_ERROR("quantize_int8: calibration batch is empty or has %d features "
-              "(model expects %zu)",
-              calib_raw.cols(), means.size());
-    return false;
+bool QuantizedNetwork::chains() const {
+  int width = -1;  // output width of the previous linear layer
+  for (const QLayer& layer : layers_) {
+    if (layer.type != LayerType::kLinear) continue;
+    if (width >= 0 && layer.weights.rows() != width) return false;
+    width = layer.weights.cols();
   }
-  q.norm_mean_d_ = means;
-  q.norm_std_d_ = stds;
-
-  // Calibration propagates FLOAT activations through the net so each linear
-  // layer's s_in reflects the real input distribution (quantize-after-train:
-  // weights are untouched, only observed).
-  matrix::FpuGuard<double> guard;
-  matrix::MatD act = calib_raw;
-  if (!means.empty()) {
-    for (int r = 0; r < act.rows(); ++r) {
-      for (int c = 0; c < act.cols(); ++c) {
-        const auto j = static_cast<std::size_t>(c);
-        act.at(r, c) = math::z_score(act.at(r, c), means[j], stds[j]);
-      }
-    }
-  }
-
-  auto& mutable_net = const_cast<Network&>(net);
-  for (int i = 0; i < net.num_layers(); ++i) {
-    Layer& layer = mutable_net.layer(i);
-    Int8Layer ql;
-    ql.type = layer.type();
-    switch (layer.type()) {
-      case LayerType::kLinear: {
-        auto& lin = static_cast<Linear&>(layer);
-        const matrix::MatD& w = lin.weights();
-        if (act.cols() != w.rows()) {
-          KML_ERROR("quantize_int8: layer %d expects %d inputs, got %d", i,
-                    w.rows(), act.cols());
-          return false;
-        }
-        ql.s_in = symmetric_scale(max_abs(act.data(), act.size()));
-        ql.s_w = symmetric_scale(max_abs(w.data(), w.size()));
-        ql.weights = matrix::Mat<std::int8_t>(w.rows(), w.cols());
-        const double inv_sw = 1.0 / ql.s_w;
-        for (std::size_t e = 0; e < w.size(); ++e) {
-          ql.weights.data()[e] = quantize_sat(w.data()[e], inv_sw);
-        }
-        ql.bias.assign(lin.bias().data(),
-                       lin.bias().data() + lin.bias().size());
-        // Propagate the float layer for the next layer's calibration.
-        matrix::MatD next(act.rows(), w.cols());
-        matrix::matmul(act, w, next);
-        matrix::add_bias_row(next, lin.bias());
-        act = std::move(next);
-        break;
-      }
-      case LayerType::kSigmoid:
-        math::kml_sigmoid_span(act.data(), act.data(),
-                               static_cast<long>(act.size()));
-        break;
-      case LayerType::kTanh:
-        math::kml_tanh_span(act.data(), act.data(),
-                            static_cast<long>(act.size()));
-        break;
-      case LayerType::kReLU:
-        for (std::size_t e = 0; e < act.size(); ++e) {
-          if (act.data()[e] < 0.0) act.data()[e] = 0.0;
-        }
-        break;
-      default:
-        KML_ERROR("quantize_int8: unsupported layer type %d",
-                  static_cast<int>(layer.type()));
-        return false;
-    }
-    q.int8_layers_.push_back(std::move(ql));
-  }
-  out = std::move(q);
-  return true;
-}
-
-int QuantizedNetwork::infer_batch_scores(const double* features, int n,
-                                         int count, double* scores_out,
-                                         int* classes_out) const {
-  if (mode_ != QuantMode::kInt8 || features == nullptr ||
-      scores_out == nullptr || count <= 0 || n <= 0 || n != in_features()) {
-    return 0;
-  }
-  matrix::FpuGuard<double> guard;
-
-  // Stage + normalize into the activation scratch (count x n, row-major).
-  act_.resize(static_cast<std::size_t>(count) * n);
-  int width = n;
-  const bool have_norm = !norm_mean_d_.empty();
-  for (int r = 0; r < count; ++r) {
-    const double* src = features + static_cast<std::size_t>(r) * n;
-    double* dst = act_.data() + static_cast<std::size_t>(r) * n;
-    if (have_norm) {
-      for (int c = 0; c < n; ++c) {
-        const auto idx = static_cast<std::size_t>(c);
-        dst[c] = math::z_score(src[c], norm_mean_d_[idx], norm_std_d_[idx]);
-      }
-    } else {
-      for (int c = 0; c < n; ++c) dst[c] = src[c];
-    }
-  }
-
-  for (const Int8Layer& layer : int8_layers_) {
-    const std::size_t elems = static_cast<std::size_t>(count) * width;
-    switch (layer.type) {
-      case LayerType::kLinear: {
-        const int kin = layer.weights.rows();
-        const int kout = layer.weights.cols();
-        assert(width == kin);
-        // Quantize this layer's input activations onto the calibrated grid.
-        qin_.resize(elems);
-        const double inv_sin = 1.0 / layer.s_in;
-        for (std::size_t e = 0; e < elems; ++e) {
-          qin_[e] = quantize_sat(act_[e], inv_sin);
-        }
-        // int8 GEMM through the SIMD seam (exact at every dispatch tier).
-        acc_.resize(static_cast<std::size_t>(count) * kout);
-        kml_simd_gemm_s8(qin_.data(), kin, layer.weights.data(), kout,
-                         acc_.data(), kout, count, kout, kin);
-        // Dequantize + bias back into double activations.
-        next_.resize(static_cast<std::size_t>(count) * kout);
-        const double scale = layer.s_in * layer.s_w;
-        for (int r = 0; r < count; ++r) {
-          const std::int32_t* arow =
-              acc_.data() + static_cast<std::size_t>(r) * kout;
-          double* nrow = next_.data() + static_cast<std::size_t>(r) * kout;
-          for (int c = 0; c < kout; ++c) {
-            nrow[c] = static_cast<double>(arow[c]) * scale +
-                      layer.bias[static_cast<std::size_t>(c)];
-          }
-        }
-        act_.swap(next_);
-        width = kout;
-        break;
-      }
-      case LayerType::kSigmoid:
-        math::kml_sigmoid_span(act_.data(), act_.data(),
-                               static_cast<long>(elems));
-        break;
-      case LayerType::kTanh:
-        math::kml_tanh_span(act_.data(), act_.data(),
-                            static_cast<long>(elems));
-        break;
-      case LayerType::kReLU:
-        for (std::size_t e = 0; e < elems; ++e) {
-          if (act_[e] < 0.0) act_[e] = 0.0;
-        }
-        break;
-      default:
-        return 0;
-    }
-  }
-
-  for (int r = 0; r < count; ++r) {
-    const double* row = act_.data() + static_cast<std::size_t>(r) * width;
-    double* dst = scores_out + static_cast<std::size_t>(r) * width;
-    int best = 0;
-    for (int c = 0; c < width; ++c) {
-      dst[c] = row[c];
-      if (row[c] > row[best]) best = c;
-    }
-    if (classes_out != nullptr) classes_out[r] = best;
-  }
-  return count;
+  return norm_mean_.empty() ||
+         norm_mean_.size() == static_cast<std::size_t>(in_features());
 }
 
 namespace {
 
 constexpr std::uint32_t kQMagic = 0x514c4d4b;  // "KMLQ"
-constexpr std::uint32_t kQVersionFixed16 = 1;  // Q16.16 payload
-constexpr std::uint32_t kQVersionInt8 = 2;     // int8 weights + double scales
+constexpr std::uint32_t kQVersion = 1;         // Q16.16 payload
+// v2 carried int8 weights plus double scales; int8 serving was retired and
+// its files are refused by name.
+constexpr std::uint32_t kQVersionRetired = 2;
 constexpr std::uint32_t kQMaxDim = 1u << 16;
 
 bool write_u32(KmlFile* f, std::uint32_t v) {
@@ -403,73 +185,24 @@ bool read_raw32(KmlFile* f, math::Fixed* data, std::size_t n) {
   return kml_fread(f, data, n * sizeof(math::Fixed)) == bytes;
 }
 
-bool write_f64(KmlFile* f, const double* data, std::size_t n) {
-  if (n == 0) return true;
-  const auto bytes = static_cast<std::int64_t>(n * sizeof(double));
-  return kml_fwrite(f, data, n * sizeof(double)) == bytes;
-}
-
-bool read_f64(KmlFile* f, double* data, std::size_t n) {
-  if (n == 0) return true;
-  const auto bytes = static_cast<std::int64_t>(n * sizeof(double));
-  return kml_fread(f, data, n * sizeof(double)) == bytes;
-}
-
-bool write_s8(KmlFile* f, const std::int8_t* data, std::size_t n) {
-  if (n == 0) return true;
-  return kml_fwrite(f, data, n) == static_cast<std::int64_t>(n);
-}
-
-bool read_s8(KmlFile* f, std::int8_t* data, std::size_t n) {
-  if (n == 0) return true;
-  return kml_fread(f, data, n) == static_cast<std::int64_t>(n);
-}
-
 }  // namespace
 
 bool QuantizedNetwork::save(const char* path) const {
   KmlFile* f = kml_fopen(path, "w");
   if (f == nullptr) return false;
-  bool ok;
-  if (mode_ == QuantMode::kInt8) {
-    ok = write_u32(f, kQMagic) && write_u32(f, kQVersionInt8);
-    ok = ok && write_u32(f, static_cast<std::uint32_t>(norm_mean_d_.size()));
-    ok = ok && write_f64(f, norm_mean_d_.data(), norm_mean_d_.size());
-    ok = ok && write_f64(f, norm_std_d_.data(), norm_std_d_.size());
-    ok = ok && write_u32(f, static_cast<std::uint32_t>(int8_layers_.size()));
-    for (const Int8Layer& layer : int8_layers_) {
-      ok = ok && write_u32(f, static_cast<std::uint32_t>(layer.type));
-      ok = ok &&
-           write_u32(f, static_cast<std::uint32_t>(layer.weights.rows()));
-      ok = ok &&
-           write_u32(f, static_cast<std::uint32_t>(layer.weights.cols()));
-      if (layer.type == LayerType::kLinear) {
-        // Scales plus a zero-point word per tensor pair. The symmetric grid
-        // always writes 0; the field exists so an asymmetric scheme can
-        // bump the minor layout without a new version.
-        ok = ok && write_f64(f, &layer.s_in, 1) && write_f64(f, &layer.s_w, 1);
-        ok = ok && write_u32(f, 0u);
-        ok = ok && write_s8(f, layer.weights.data(), layer.weights.size());
-        ok = ok && write_f64(f, layer.bias.data(), layer.bias.size());
-      }
-    }
-  } else {
-    ok = write_u32(f, kQMagic) && write_u32(f, kQVersionFixed16);
-    ok = ok && write_u32(f, static_cast<std::uint32_t>(norm_mean_.size()));
-    ok = ok && write_raw32(f, norm_mean_.data(), norm_mean_.size());
-    ok = ok && write_raw32(f, norm_inv_std_.data(), norm_inv_std_.size());
+  bool ok = write_u32(f, kQMagic) && write_u32(f, kQVersion);
+  ok = ok && write_u32(f, static_cast<std::uint32_t>(norm_mean_.size()));
+  ok = ok && write_raw32(f, norm_mean_.data(), norm_mean_.size());
+  ok = ok && write_raw32(f, norm_inv_std_.data(), norm_inv_std_.size());
 
-    ok = ok && write_u32(f, static_cast<std::uint32_t>(layers_.size()));
-    for (const QLayer& layer : layers_) {
-      ok = ok && write_u32(f, static_cast<std::uint32_t>(layer.type));
-      ok = ok &&
-           write_u32(f, static_cast<std::uint32_t>(layer.weights.rows()));
-      ok = ok &&
-           write_u32(f, static_cast<std::uint32_t>(layer.weights.cols()));
-      if (layer.type == LayerType::kLinear) {
-        ok = ok && write_raw32(f, layer.weights.data(), layer.weights.size());
-        ok = ok && write_raw32(f, layer.bias.data(), layer.bias.size());
-      }
+  ok = ok && write_u32(f, static_cast<std::uint32_t>(layers_.size()));
+  for (const QLayer& layer : layers_) {
+    ok = ok && write_u32(f, static_cast<std::uint32_t>(layer.type));
+    ok = ok && write_u32(f, static_cast<std::uint32_t>(layer.weights.rows()));
+    ok = ok && write_u32(f, static_cast<std::uint32_t>(layer.weights.cols()));
+    if (layer.type == LayerType::kLinear) {
+      ok = ok && write_raw32(f, layer.weights.data(), layer.weights.size());
+      ok = ok && write_raw32(f, layer.bias.data(), layer.bias.size());
     }
   }
   kml_fclose(f);
@@ -480,22 +213,22 @@ bool QuantizedNetwork::load(const char* path) {
   KmlFile* f = kml_fopen(path, "r");
   if (f == nullptr) return false;
   QuantizedNetwork fresh;
-  bool ok = true;
 
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
-  ok = read_u32(f, magic) && read_u32(f, version) && magic == kQMagic &&
-       (version == kQVersionFixed16 || version == kQVersionInt8);
+  bool ok = read_u32(f, magic) && read_u32(f, version) && magic == kQMagic;
+  if (ok && version == kQVersionRetired) {
+    kml_fclose(f);
+    KML_ERROR("QuantizedNetwork::load: %s is a KMLQ v2 (int8) file; int8 "
+              "serving was retired, re-quantize the model to Q16.16 (v1)",
+              path);
+    return false;
+  }
+  ok = ok && version == kQVersion;
 
   std::uint32_t nfeat = 0;
   ok = ok && read_u32(f, nfeat) && nfeat <= kQMaxDim;
-  if (ok && version == kQVersionInt8) {
-    fresh.mode_ = QuantMode::kInt8;
-    fresh.norm_mean_d_.resize(nfeat);
-    fresh.norm_std_d_.resize(nfeat);
-    ok = read_f64(f, fresh.norm_mean_d_.data(), nfeat) &&
-         read_f64(f, fresh.norm_std_d_.data(), nfeat);
-  } else if (ok) {
+  if (ok) {
     fresh.norm_mean_.resize(nfeat);
     fresh.norm_inv_std_.resize(nfeat);
     ok = read_raw32(f, fresh.norm_mean_.data(), nfeat) &&
@@ -511,9 +244,15 @@ bool QuantizedNetwork::load(const char* path) {
     ok = read_u32(f, type) && read_u32(f, rows) && read_u32(f, cols) &&
          rows <= kQMaxDim && cols <= kQMaxDim;
     if (!ok) break;
-    const auto ltype = static_cast<LayerType>(type);
-    switch (ltype) {
+    QLayer layer;
+    layer.type = static_cast<LayerType>(type);
+    switch (layer.type) {
       case LayerType::kLinear:
+        layer.weights =
+            matrix::MatX(static_cast<int>(rows), static_cast<int>(cols));
+        layer.bias = matrix::MatX(1, static_cast<int>(cols));
+        ok = read_raw32(f, layer.weights.data(), layer.weights.size()) &&
+             read_raw32(f, layer.bias.data(), layer.bias.size());
         break;
       case LayerType::kSigmoid:
       case LayerType::kReLU:
@@ -523,40 +262,17 @@ bool QuantizedNetwork::load(const char* path) {
         ok = false;
         break;
     }
-    if (!ok) break;
-    if (version == kQVersionInt8) {
-      Int8Layer layer;
-      layer.type = ltype;
-      if (ltype == LayerType::kLinear) {
-        std::uint32_t zero_point = 1;
-        ok = read_f64(f, &layer.s_in, 1) && read_f64(f, &layer.s_w, 1) &&
-             read_u32(f, zero_point) && zero_point == 0 && layer.s_in > 0.0 &&
-             layer.s_w > 0.0;
-        if (ok) {
-          layer.weights = matrix::Mat<std::int8_t>(static_cast<int>(rows),
-                                                   static_cast<int>(cols));
-          layer.bias.resize(cols);
-          ok = read_s8(f, layer.weights.data(), layer.weights.size()) &&
-               read_f64(f, layer.bias.data(), layer.bias.size());
-        }
-      }
-      if (ok) fresh.int8_layers_.push_back(std::move(layer));
-    } else {
-      QLayer layer;
-      layer.type = ltype;
-      if (ltype == LayerType::kLinear) {
-        layer.weights =
-            matrix::MatX(static_cast<int>(rows), static_cast<int>(cols));
-        layer.bias = matrix::MatX(1, static_cast<int>(cols));
-        ok = read_raw32(f, layer.weights.data(), layer.weights.size()) &&
-             read_raw32(f, layer.bias.data(), layer.bias.size());
-      }
-      if (ok) fresh.layers_.push_back(std::move(layer));
-    }
+    if (ok) fresh.layers_.push_back(std::move(layer));
   }
   kml_fclose(f);
   if (!ok) {
     KML_ERROR("QuantizedNetwork::load: failed to parse %s", path);
+    return false;
+  }
+  if (!fresh.chains()) {
+    KML_ERROR("QuantizedNetwork::load: %s has layers or normalizer widths "
+              "that do not chain",
+              path);
     return false;
   }
   *this = std::move(fresh);
@@ -564,15 +280,6 @@ bool QuantizedNetwork::load(const char* path) {
 }
 
 std::size_t QuantizedNetwork::param_bytes() const {
-  if (mode_ == QuantMode::kInt8) {
-    std::size_t total =
-        (norm_mean_d_.size() + norm_std_d_.size()) * sizeof(double);
-    for (const Int8Layer& layer : int8_layers_) {
-      total += layer.weights.size() * sizeof(std::int8_t) +
-               layer.bias.size() * sizeof(double) + 2 * sizeof(double);
-    }
-    return total;
-  }
   std::size_t total =
       (norm_mean_.size() + norm_inv_std_.size()) * sizeof(math::Fixed);
   for (const QLayer& layer : layers_) {

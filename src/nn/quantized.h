@@ -12,31 +12,14 @@
 // emulate large ranges, which can lead to numerical instability") is real:
 // inputs must be normalized (Z-scores are O(1)) and accuracy drops slightly
 // — tests and bench_ablation quantify it.
-//
-// PR 9 adds a second quantization mode: int8 weights with per-layer
-// symmetric quantize-after-train calibration. Weights and the per-linear
-// input activations are mapped to int8 by max-abs scales (s = maxabs/127,
-// zero-point 0), the GEMM runs int8×int8→int32 through the portability
-// SIMD seam (exact integer arithmetic, bit-identical at every dispatch
-// tier), and each output is dequantized as acc·(s_in·s_w) + bias with
-// double activations between layers. That keeps accuracy within a point of
-// float on the Table 2 workloads while the hot multiply runs 8–16 lanes
-// wide — the serving-side speed story, complementing kFixed16's strictly
-// FPU-free kernel story.
 #pragma once
 
 #include "matrix/linalg.h"
 #include "nn/network.h"
 
-#include <cstdint>
 #include <vector>
 
 namespace kml::nn {
-
-// Which parameter representation a QuantizedNetwork holds. A given
-// instance is exactly one of these (set by the quantize call or the loaded
-// file version).
-enum class QuantMode { kFixed16 = 0, kInt8 = 1 };
 
 class QuantizedNetwork {
  public:
@@ -47,47 +30,28 @@ class QuantizedNetwork {
   // unsupported layers or weights outside the representable Q16.16 range.
   static bool quantize(const Network& net, QuantizedNetwork& out);
 
-  // Quantize to int8 with per-layer symmetric max-abs calibration.
-  // `calib_raw` is a batch of RAW (un-normalized) feature rows; it is
-  // normalized with the network's own moments and propagated through the
-  // float layers to observe each linear layer's input range. Scales use the
-  // symmetric ±127 grid (no -128, no zero-point). Returns false on
-  // unsupported layers or an empty/mismatched calibration batch.
-  static bool quantize_int8(const Network& net, const matrix::MatD& calib_raw,
-                            QuantizedNetwork& out);
-
-  QuantMode mode() const { return mode_; }
-
-  // Forward pass, fixed-point end to end (kFixed16 only). `features` are
-  // RAW (the quantized normalizer is applied internally). Returns the
-  // argmax class.
+  // Forward pass, fixed-point end to end. `features` are RAW (the
+  // quantized normalizer is applied internally). Returns the argmax class,
+  // or -1 when `features` is null or n != in_features().
   int infer_class(const double* features, int n) const;
 
-  // Batched inference, shaped exactly like Engine::infer_batch_scores:
-  // `features` is row-major (count x n) RAW rows; scores_out (row-major,
-  // count x out_features()) receives the dequantized final-layer outputs;
-  // classes_out (may be nullptr) the per-row argmax. Returns rows served
-  // (count, or 0 on bad arguments / kFixed16 mode). NOT thread-safe: the
-  // scratch buffers are members (zero allocations at steady state), so one
-  // thread serves at a time — the fleet consumer's single-threaded contract.
-  int infer_batch_scores(const double* features, int n, int count,
-                         double* scores_out, int* classes_out) const;
-
-  // Fixed-point logits for inspection/testing (kFixed16 only).
+  // Fixed-point logits for inspection/testing; empty when in.cols() !=
+  // in_features().
   matrix::MatX forward(const matrix::MatX& in) const;
 
   int num_layers() const;
   int in_features() const;
   int out_features() const;
 
-  // Bytes of quantized parameter storage (4 B/element Q16.16, 1 B/element
-  // int8 weights + the double scales/biases).
+  // Bytes of quantized parameter storage (4 B/element Q16.16).
   std::size_t param_bytes() const;
 
-  // Quantized model file format ('KMLQ'). v1: raw Q16.16 words, no doubles
-  // anywhere (the strictly FPU-free artifact). v2: int8 weights plus double
-  // scales/zero-points/biases. save() writes the version matching mode();
-  // load() accepts both.
+  // Quantized model file format ('KMLQ' v1): raw Q16.16 words, no doubles
+  // anywhere (the strictly FPU-free artifact). load() validates the layer
+  // chain (each linear layer's input width is the previous one's output
+  // width; the normalizer, when present, matches the first) and rejects the
+  // retired v2 int8 format; on any failure it returns false and leaves the
+  // object untouched.
   bool save(const char* path) const;
   bool load(const char* path);
 
@@ -98,38 +62,14 @@ class QuantizedNetwork {
     matrix::MatX bias;
   };
 
-  // One int8-mode layer. Activation layers carry only `type`; linear
-  // layers carry int8 weights (in x out), double bias, and the two
-  // symmetric scales such that real ≈ q * scale.
-  struct Int8Layer {
-    LayerType type = LayerType::kLinear;
-    matrix::Mat<std::int8_t> weights;
-    std::vector<double> bias;
-    double s_in = 1.0;  // input-activation scale (calibrated)
-    double s_w = 1.0;   // weight scale
-  };
+  // True when each linear layer's input width is the previous linear
+  // layer's output width and the normalizer is absent or as wide as the
+  // first; infer_class and forward rely on it to stay in bounds.
+  bool chains() const;
 
-  QuantMode mode_ = QuantMode::kFixed16;
-
-  // kFixed16 state.
   std::vector<QLayer> layers_;
   std::vector<math::Fixed> norm_mean_;
   std::vector<math::Fixed> norm_inv_std_;  // precomputed 1/stddev
-
-  // kInt8 state. Normalizer moments stay double: the int8 path normalizes
-  // with math::z_score exactly like the float engine, so the only accuracy
-  // loss is the weight/activation grid.
-  std::vector<Int8Layer> int8_layers_;
-  std::vector<double> norm_mean_d_;
-  std::vector<double> norm_std_d_;
-
-  // Batched-inference scratch (sized on first use, reused after — the
-  // reason infer_batch_scores is single-threaded).
-  mutable std::vector<double> act_;
-  mutable std::vector<double> next_;
-  mutable std::vector<double> scores_;  // infer_class's one-row staging
-  mutable std::vector<std::int8_t> qin_;
-  mutable std::vector<std::int32_t> acc_;
 };
 
 }  // namespace kml::nn

@@ -1,15 +1,16 @@
-// simd.cpp — CPU detection, tier dispatch, and the scalar reference tier.
+// simd.cpp — CPU detection, tier dispatch, and the scalar tier.
 //
-// The scalar kernels here ARE the bit-identity reference: they run the same
-// k-ascending mul-then-add per output element as matrix/linalg's naive
-// kernels, and the per-ISA vector tiers reproduce them lane for lane. This
-// file is deliberately dependency-light (no logging, no observe) so
-// tests/simd_off_build.sh can compile and link it standalone.
+// The scalar tier is the bit-identity reference: its matmul family is the
+// register-tiled kernel (tiled_matmul.h), whose per-element k-ascending
+// mul-then-add matches matrix/linalg's naive kernels, and the per-ISA
+// vector tiers reproduce it lane for lane. This file is deliberately
+// dependency-light (no logging, no observe) so tests/simd_off_build.sh can
+// compile and link it standalone.
 
 #include "portability/simd_internal.h"
+#include "portability/tiled_matmul.h"
 
 #include <atomic>
-#include <cassert>
 #include <cstdlib>
 
 namespace kml {
@@ -18,54 +19,7 @@ namespace {
 
 using simd_detail::KernelTable;
 
-// --- scalar reference kernels -----------------------------------------------
-
-template <typename T>
-void matmul_scalar(const T* a, int lda, const T* b, int ldb, T* out, int ldo,
-                   int m, int n, int k) {
-  for (int i = 0; i < m; ++i) {
-    const T* arow = a + static_cast<std::size_t>(i) * lda;
-    T* orow = out + static_cast<std::size_t>(i) * ldo;
-    for (int j = 0; j < n; ++j) {
-      T acc{};
-      for (int kk = 0; kk < k; ++kk) {
-        acc += arow[kk] * b[static_cast<std::size_t>(kk) * ldb + j];
-      }
-      orow[j] = acc;
-    }
-  }
-}
-
-template <typename T>
-void matmul_bt_scalar(const T* a, int lda, const T* b, int ldb, T* out,
-                      int ldo, int m, int n, int k) {
-  for (int i = 0; i < m; ++i) {
-    const T* arow = a + static_cast<std::size_t>(i) * lda;
-    T* orow = out + static_cast<std::size_t>(i) * ldo;
-    for (int j = 0; j < n; ++j) {
-      const T* brow = b + static_cast<std::size_t>(j) * ldb;
-      T acc{};
-      for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      orow[j] = acc;
-    }
-  }
-}
-
-template <typename T>
-void matmul_at_scalar(const T* a, int lda, const T* b, int ldb, T* out,
-                      int ldo, int m, int n, int k) {
-  for (int i = 0; i < m; ++i) {
-    T* orow = out + static_cast<std::size_t>(i) * ldo;
-    for (int j = 0; j < n; ++j) {
-      T acc{};
-      for (int kk = 0; kk < k; ++kk) {
-        acc += a[static_cast<std::size_t>(kk) * lda + i] *
-               b[static_cast<std::size_t>(kk) * ldb + j];
-      }
-      orow[j] = acc;
-    }
-  }
-}
+// --- scalar tier --------------------------------------------------------------
 
 template <typename T>
 void add_scalar(const T* a, const T* b, T* out, long n) {
@@ -90,25 +44,6 @@ void scale_scalar(double* a, double alpha, long n) {
 // construction the reference the vector tiers must match bit for bit.
 void span_scalar(const double* in, double* out, long n, KmlScalarFn fn) {
   for (long i = 0; i < n; ++i) out[i] = fn(in[i]);
-}
-
-void gemm_s8_scalar(const std::int8_t* a, int lda, const std::int8_t* b,
-                    int ldb, std::int32_t* out, int ldo, int m, int n,
-                    int k) {
-  assert(k <= 65536);  // int32 accumulator exactness bound (see simd.h)
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + static_cast<std::size_t>(i) * lda;
-    std::int32_t* orow = out + static_cast<std::size_t>(i) * ldo;
-    for (int j = 0; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        acc += static_cast<std::int32_t>(arow[kk]) *
-               static_cast<std::int32_t>(b[static_cast<std::size_t>(kk) * ldb +
-                                           j]);
-      }
-      orow[j] = acc;
-    }
-  }
 }
 
 // --- dispatch state ----------------------------------------------------------
@@ -187,15 +122,15 @@ namespace simd_detail {
 
 const KernelTable& scalar_table() {
   static const KernelTable t = {
-      &matmul_scalar<double>,    &matmul_scalar<float>,
-      &matmul_bt_scalar<double>, &matmul_bt_scalar<float>,
-      &matmul_at_scalar<double>, &matmul_at_scalar<float>,
-      &add_scalar<double>,       &sub_scalar<double>,
-      &mul_scalar<double>,       &axpy_scalar,
-      &scale_scalar,             &add_scalar<float>,
-      &sub_scalar<float>,        &mul_scalar<float>,
-      &span_scalar,              &span_scalar,
-      &span_scalar,              &gemm_s8_scalar,
+      &tiled_matmul<double>,    &tiled_matmul<float>,
+      &tiled_matmul_bt<double>, &tiled_matmul_bt<float>,
+      &tiled_matmul_at<double>, &tiled_matmul_at<float>,
+      &add_scalar<double>,      &sub_scalar<double>,
+      &mul_scalar<double>,      &axpy_scalar,
+      &scale_scalar,            &add_scalar<float>,
+      &sub_scalar<float>,       &mul_scalar<float>,
+      &span_scalar,             &span_scalar,
+      &span_scalar,
   };
   return t;
 }
@@ -321,12 +256,6 @@ void kml_simd_sigmoid_span(const double* in, double* out, long n,
 void kml_simd_tanh_span(const double* in, double* out, long n,
                         KmlScalarFn fallback) {
   active().tanh_span(in, out, n, fallback);
-}
-
-void kml_simd_gemm_s8(const std::int8_t* a, int lda, const std::int8_t* b,
-                      int ldb, std::int32_t* out, int ldo, int m, int n,
-                      int k) {
-  active().gemm_s8(a, lda, b, ldb, out, ldo, m, n, k);
 }
 
 }  // namespace kml

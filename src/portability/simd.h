@@ -1,34 +1,34 @@
 // simd.h — runtime-dispatched SIMD kernels behind the portability seam.
 //
-// The compute kernels (matmul family, elementwise, transcendental spans,
-// int8 GEMM) come in one implementation per instruction-set tier; the seam
-// probes the CPU once and routes every call through the best tier the host
-// supports. Raw intrinsics live ONLY in src/portability/simd_*.cpp
-// (repo_hygiene bans <immintrin.h>/<arm_neon.h> everywhere else), so a
-// kernel backend — or a non-x86 port — swaps tiers without touching any
-// caller.
+// The compute kernels (matmul family, elementwise, transcendental spans)
+// come in one implementation per instruction-set tier; the seam probes the
+// CPU once and routes every call through the best tier the host supports.
+// It is the only float/double kernel path: matrix/linalg and math/approx
+// call it unconditionally. Raw intrinsics live ONLY in
+// src/portability/simd_*.cpp (repo_hygiene bans <immintrin.h>/
+// <arm_neon.h> everywhere else), so a kernel backend — or a non-x86 port —
+// swaps tiers without touching any caller.
 //
 // Determinism contract: every floating-point kernel here is bit-identical
-// to the scalar reference at EVERY tier. The vector kernels achieve that by
+// to the scalar tier at EVERY tier; the scalar tier's matmul family is the
+// register-tiled kernel (tiled_matmul.h), itself bit-identical to
+// matrix/linalg's naive loops. The vector kernels achieve that by
 // vectorizing across independent output elements (output columns for the
 // matmul family, elements for the elementwise/transcendental kernels) while
 // each element's k-reduction runs strictly ascending in the same
 // mul-then-add order as the scalar code. No FMA contraction anywhere: an
 // fused multiply-add rounds once where mul+add rounds twice, which would
-// fork the result bits between tiers. Integer kernels (int8 GEMM) are exact,
-// so any summation order is identical by construction.
+// fork the result bits between tiers.
 //
 // Kill switches:
 //   * CMake -DKML_SIMD=OFF compiles the ISA translation units out entirely
-//     (KML_SIMD_ENABLED=0): detection reports kScalar and the scalar
-//     reference kernels are all that exists (tests/simd_off_build.sh).
+//     (KML_SIMD_ENABLED=0): detection reports kScalar and the scalar tier
+//     is all that exists (tests/simd_off_build.sh).
 //   * env KML_SIMD=off pins the scalar tier at runtime.
 //   * env KML_SIMD_LEVEL=scalar|sse2|avx2 forces a specific tier (clamped
 //     to what the CPU supports).
 //   * kml_simd_set_level() does the same programmatically (tests/bench).
 #pragma once
-
-#include <cstdint>
 
 namespace kml {
 
@@ -109,13 +109,5 @@ void kml_simd_sigmoid_span(const double* in, double* out, long n,
                            KmlScalarFn fallback);
 void kml_simd_tanh_span(const double* in, double* out, long n,
                         KmlScalarFn fallback);
-
-// Quantized GEMM: out(m x n, int32) = a(m x k, int8) * b(k x n, int8).
-// Products are at most 2^14 in magnitude, so the int32 accumulator is exact
-// for k <= 2^16 (asserted); integer math makes every tier bit-identical
-// with no ordering constraint.
-void kml_simd_gemm_s8(const std::int8_t* a, int lda, const std::int8_t* b,
-                      int ldb, std::int32_t* out, int ldo, int m, int n,
-                      int k);
 
 }  // namespace kml

@@ -10,9 +10,6 @@
 
 #include <immintrin.h>
 
-#include <cassert>
-#include <cstring>
-
 #include "portability/simd_vec.inl.h"
 
 namespace kml::simd_detail {
@@ -82,52 +79,6 @@ struct VecF8 {
   }
 };
 
-// int8 x int8 -> int32 GEMM. Main path: 8 columns per step, b bytes
-// sign-extended straight to i32 lanes, 32-bit multiply against the
-// broadcast a element. A 4-wide 128-bit path picks up narrow layers (the
-// 4-class output head) before the scalar tail.
-void gemm_s8_avx2(const std::int8_t* a, int lda, const std::int8_t* b,
-                  int ldb, std::int32_t* out, int ldo, int m, int n, int k) {
-  assert(k <= 65536);
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + static_cast<std::size_t>(i) * lda;
-    std::int32_t* orow = out + static_cast<std::size_t>(i) * ldo;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256i acc = _mm256_setzero_si256();
-      for (int kk = 0; kk < k; ++kk) {
-        const __m128i b8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
-            b + static_cast<std::size_t>(kk) * ldb + j));
-        const __m256i vb = _mm256_cvtepi8_epi32(b8);
-        const __m256i va = _mm256_set1_epi32(arow[kk]);
-        acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(va, vb));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(orow + j), acc);
-    }
-    for (; j + 4 <= n; j += 4) {
-      __m128i acc = _mm_setzero_si128();
-      for (int kk = 0; kk < k; ++kk) {
-        std::int32_t four;
-        std::memcpy(&four, b + static_cast<std::size_t>(kk) * ldb + j,
-                    sizeof(four));
-        const __m128i vb = _mm_cvtepi8_epi32(_mm_cvtsi32_si128(four));
-        const __m128i va = _mm_set1_epi32(arow[kk]);
-        acc = _mm_add_epi32(acc, _mm_mullo_epi32(va, vb));
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(orow + j), acc);
-    }
-    for (; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        acc += static_cast<std::int32_t>(arow[kk]) *
-               static_cast<std::int32_t>(
-                   b[static_cast<std::size_t>(kk) * ldb + j]);
-      }
-      orow[j] = acc;
-    }
-  }
-}
-
 }  // namespace
 
 const KernelTable& avx2_table() {
@@ -143,7 +94,7 @@ const KernelTable& avx2_table() {
       &elementwise_body<VecF8, EwOp::kSub>,
       &elementwise_body<VecF8, EwOp::kMul>,
       &exp_span_body<VecD4>,  &sigmoid_span_body<VecD4>,
-      &tanh_span_body<VecD4>, &gemm_s8_avx2,
+      &tanh_span_body<VecD4>,
   };
   return t;
 }

@@ -64,8 +64,6 @@ struct KernelTable {
   void (*exp_span)(const double*, double*, long, KmlScalarFn);
   void (*sigmoid_span)(const double*, double*, long, KmlScalarFn);
   void (*tanh_span)(const double*, double*, long, KmlScalarFn);
-  void (*gemm_s8)(const std::int8_t*, int, const std::int8_t*, int,
-                  std::int32_t*, int, int, int, int);
 };
 
 const KernelTable& scalar_table();

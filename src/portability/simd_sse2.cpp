@@ -8,9 +8,6 @@
 
 #include <emmintrin.h>
 
-#include <cassert>
-#include <cstring>
-
 #include "portability/simd_vec.inl.h"
 
 namespace kml::simd_detail {
@@ -84,46 +81,6 @@ struct VecF4 {
   }
 };
 
-// int8 x int8 -> int32 GEMM, 8 output columns per step. SSE2 has no byte
-// multiply, so products are formed at 16 bit — exact, since |a*b| <= 2^14 —
-// then sign-extended to the int32 accumulators.
-void gemm_s8_sse2(const std::int8_t* a, int lda, const std::int8_t* b,
-                  int ldb, std::int32_t* out, int ldo, int m, int n, int k) {
-  assert(k <= 65536);
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + static_cast<std::size_t>(i) * lda;
-    std::int32_t* orow = out + static_cast<std::size_t>(i) * ldo;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m128i acc0 = _mm_setzero_si128();
-      __m128i acc1 = _mm_setzero_si128();
-      for (int kk = 0; kk < k; ++kk) {
-        const __m128i b8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
-            b + static_cast<std::size_t>(kk) * ldb + j));
-        // Duplicate each byte into both halves of a 16-bit lane, then
-        // arithmetic-shift right 8: sign-extended i8 -> i16.
-        const __m128i b16 = _mm_srai_epi16(_mm_unpacklo_epi8(b8, b8), 8);
-        const __m128i a16 = _mm_set1_epi16(static_cast<short>(arow[kk]));
-        const __m128i prod = _mm_mullo_epi16(a16, b16);
-        const __m128i psign = _mm_srai_epi16(prod, 15);
-        acc0 = _mm_add_epi32(acc0, _mm_unpacklo_epi16(prod, psign));
-        acc1 = _mm_add_epi32(acc1, _mm_unpackhi_epi16(prod, psign));
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(orow + j), acc0);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(orow + j + 4), acc1);
-    }
-    for (; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        acc += static_cast<std::int32_t>(arow[kk]) *
-               static_cast<std::int32_t>(
-                   b[static_cast<std::size_t>(kk) * ldb + j]);
-      }
-      orow[j] = acc;
-    }
-  }
-}
-
 }  // namespace
 
 const KernelTable& sse2_table() {
@@ -139,7 +96,7 @@ const KernelTable& sse2_table() {
       &elementwise_body<VecF4, EwOp::kSub>,
       &elementwise_body<VecF4, EwOp::kMul>,
       &exp_span_body<VecD2>,  &sigmoid_span_body<VecD2>,
-      &tanh_span_body<VecD2>, &gemm_s8_sse2,
+      &tanh_span_body<VecD2>,
   };
   return t;
 }

@@ -11,21 +11,24 @@ namespace kml::readahead {
 
 ReadaheadTuner::PredictFn make_engine_predictor(runtime::Engine& engine) {
   return [&engine](const FeatureVector& features) {
-    return engine.infer_class(features.data(), kNumSelectedFeatures);
+    int cls = -1;
+    engine.infer_batch_scores(features.data(), kNumSelectedFeatures, 1,
+                              nullptr, &cls);
+    return cls;
   };
 }
 
 BatchPredictFn make_engine_batch_predictor(runtime::Engine& engine) {
   // A FeatureVector is a padding-free std::array of doubles, so `count` of
   // them in a row form exactly the row-major (count x kNumSelectedFeatures)
-  // block Engine::infer_batch expects.
+  // block Engine::infer_batch_scores expects.
   static_assert(sizeof(FeatureVector) ==
                 kNumSelectedFeatures * sizeof(double));
   return [&engine](const FeatureVector* features, int count,
                    int* classes_out) {
     if (features == nullptr || count <= 0) return;
-    engine.infer_batch(features->data(), kNumSelectedFeatures, count,
-                       classes_out);
+    engine.infer_batch_scores(features->data(), kNumSelectedFeatures, count,
+                              nullptr, classes_out);
   };
 }
 

@@ -29,8 +29,9 @@ namespace kml::readahead {
 // and outlive the returned function).
 ReadaheadTuner::PredictFn make_engine_predictor(runtime::Engine& engine);
 
-// Batched classifier over Engine::infer_batch: a whole window of feature
-// rows classified in one forward pass. Plug into TunerConfig::batch_predict.
+// Batched classifier over Engine::infer_batch_scores: a whole window of
+// feature rows classified in one forward pass. Plug into
+// TunerConfig::batch_predict.
 BatchPredictFn make_engine_batch_predictor(runtime::Engine& engine);
 
 // Shared experiment scale. The defaults are chosen so that the database is

@@ -78,10 +78,7 @@ void Engine::warm_up(int max_batch_rows) {
   if (max_batch_rows <= 0) return;
   net_.reserve_scratch(max_batch_rows);
   const int n = model_in_features();
-  if (n > 0) {
-    ws_.warm(kSlotInferIn, 1, n);
-    ws_.warm(kSlotBatchIn, max_batch_rows, n);
-  }
+  if (n > 0) ws_.warm(kSlotBatchIn, max_batch_rows, n);
   // Shadow copies for checkpoint() at the parameter shapes (contents are
   // garbage until the first real checkpoint; has_checkpoint_ stays false).
   good_params_.resize(params_.size());
@@ -89,33 +86,6 @@ void Engine::warm_up(int max_batch_rows) {
     good_params_[i].ensure_shape(params_[i].value->rows(),
                                  params_[i].value->cols());
   }
-}
-
-int Engine::infer_class(const double* features, int n) {
-  assert(mode_ == Mode::kInference);
-  const std::uint64_t start = kml_now_ns();
-
-  observe_drift_row(features, n);
-
-  // Stage and normalize in workspace scratch (the deployed moments are
-  // frozen; transform_row works in place).
-  matrix::MatD& x = ws_.slot(kSlotInferIn);
-  x.ensure_shape(1, n);
-  for (int j = 0; j < n; ++j) x.at(0, j) = features[j];
-  net_.normalizer().transform_row(x.row(0), n);
-
-  const matrix::MatD& out = net_.forward_scratch(x);
-  const int pred = argmax_row(out, 0);
-  if (observe::enabled()) {
-    KML_HIST_RECORD(observe::kMetricConfidenceMilli,
-                    static_cast<std::uint64_t>(confidence_milli(out, 0)));
-  }
-
-  stats_.inferences += 1;
-  const std::uint64_t elapsed = kml_now_ns() - start;
-  stats_.inference_ns_total += elapsed;
-  KML_HIST_RECORD(observe::kMetricInferenceNs, elapsed);
-  return pred;
 }
 
 int Engine::num_classes() {
@@ -126,52 +96,11 @@ int Engine::num_classes() {
   return 0;
 }
 
-int Engine::infer_batch(const double* features, int n, int count,
-                        int* classes_out) {
-  if (classes_out == nullptr) return 0;
-  return infer_batch_impl(features, n, count, classes_out, nullptr);
-}
-
 int Engine::infer_batch_scores(const double* features, int n, int count,
                                double* scores_out, int* classes_out) {
-  if (scores_out == nullptr) return 0;
-  return infer_batch_impl(features, n, count, classes_out, scores_out);
-}
-
-void Engine::attach_quantized(nn::QuantizedNetwork q) {
-  if (q.mode() != nn::QuantMode::kInt8 || q.num_layers() == 0) {
-    quantized_.reset();
-    return;
-  }
-  quantized_ = std::make_unique<nn::QuantizedNetwork>(std::move(q));
-  int8_fallback_logged_ = false;
-}
-
-int Engine::infer_batch_scores_int8(const double* features, int n, int count,
-                                    double* scores_out, int* classes_out) {
-  if (quantized_ == nullptr) {
-    if (!int8_fallback_logged_) {
-      int8_fallback_logged_ = true;
-      KML_WARN("Engine::infer_batch_scores_int8: no int8 network attached; "
-               "serving through the float path");
-    }
-    return infer_batch_scores(features, n, count, scores_out, classes_out);
-  }
-  const std::uint64_t start = kml_now_ns();
-  const int done =
-      quantized_->infer_batch_scores(features, n, count, scores_out,
-                                     classes_out);
-  if (done > 0) {
-    stats_.inferences += static_cast<std::uint64_t>(done);
-    stats_.inference_ns_total += kml_now_ns() - start;
-  }
-  return done;
-}
-
-int Engine::infer_batch_impl(const double* features, int n, int count,
-                             int* classes_out, double* scores_out) {
   assert(mode_ == Mode::kInference);
-  if (features == nullptr || n <= 0 || count <= 0) {
+  if (features == nullptr || n <= 0 || n != model_in_features() ||
+      count <= 0 || (scores_out == nullptr && classes_out == nullptr)) {
     return 0;
   }
   const std::uint64_t start = kml_now_ns();
@@ -214,12 +143,11 @@ int Engine::infer_batch_impl(const double* features, int n, int count,
     }
   });
   if (observe::enabled()) {
-    // Confidence is a distribution read via percentiles, so the batched
-    // path stride-samples 1 row in 8: the top-2 margin scan plus a
-    // histogram record per row was a measurable slice of fleet serving
-    // throughput, and every batch still contributes its first row. The
-    // single-row infer path above records every decision — per-decision
-    // consumers (confidence gating) live there.
+    // Confidence is a distribution read via percentiles, so batches
+    // stride-sample 1 row in 8: the top-2 margin scan plus a histogram
+    // record per row was a measurable slice of fleet serving throughput,
+    // and every batch still contributes its first row — so single-row
+    // calls (count == 1) record every decision.
     for (int i = 0; i < count; i += 8) {
       KML_HIST_RECORD(observe::kMetricConfidenceMilli,
                       static_cast<std::uint64_t>(confidence_milli(out, i)));

@@ -9,13 +9,11 @@
 #pragma once
 
 #include "nn/network.h"
-#include "nn/quantized.h"
 #include "nn/serialize.h"
 #include "runtime/health.h"
 #include "runtime/workspace.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace kml::runtime {
@@ -60,47 +58,22 @@ class Engine {
     net_.set_training(m == Mode::kTraining);
   }
 
-  // Classify one raw (un-normalized) feature vector. Applies the model's
-  // Z-score normalizer, then argmax over the network output. Only legal in
-  // inference mode. After the first call at a given feature count, repeat
-  // calls perform zero heap allocations (enforced by a ctest guard).
-  int infer_class(const double* features, int n);
-
-  // Classify `count` feature vectors in one forward pass. `features` is
-  // row-major (count x n); the predicted class of row i lands in
-  // classes_out[i]. One matmul over the whole window amortizes the per-call
-  // fixed costs that dominate tiny models. Returns the number of rows
-  // classified (count, or 0 on bad arguments). Zero-allocation at steady
-  // state, like infer_class.
-  int infer_batch(const double* features, int n, int count, int* classes_out);
-
-  // infer_batch, plus the raw output activations: scores_out (row-major,
-  // count x num_classes()) receives each row of the network's final layer
-  // before the argmax. The fleet service uses this to apply a cheap
-  // per-tenant output bias on top of the shared model — argmax over
-  // (scores + bias) — without a second forward pass. classes_out may be
-  // nullptr when the caller computes its own (biased) argmax. Same
-  // zero-allocation steady state as infer_batch.
+  // The engine's one inference entry: classify `count` raw (un-normalized)
+  // feature rows in one forward pass; a single sample is count == 1.
+  // `features` is row-major (count x n). Applies the model's Z-score
+  // normalizer, runs the network, and writes
+  //   * scores_out (row-major, count x num_classes()): each row of the
+  //     final layer's output before the argmax — the fleet service applies
+  //     a per-tenant output bias on top of these without a second pass;
+  //   * classes_out[i]: the argmax of row i.
+  // Either output may be nullptr, but not both. Only legal in inference
+  // mode. Returns the number of rows classified: count, or 0 on bad
+  // arguments (including n != num_features()). One matmul over the whole window amortizes the per-call
+  // fixed costs that dominate tiny models. After the first call at a given
+  // batch size (or after warm_up), repeat calls perform zero heap
+  // allocations (enforced by a ctest guard).
   int infer_batch_scores(const double* features, int n, int count,
                          double* scores_out, int* classes_out);
-
-  // Attach an int8-quantized copy of the model for the fast serving path.
-  // The engine takes ownership; pass a default-constructed network (or a
-  // kFixed16 one) to detach. The quantized copy is a *serving artifact* of
-  // the float network — retraining the float weights does not refresh it;
-  // re-quantize and re-attach after a weight update.
-  void attach_quantized(nn::QuantizedNetwork q);
-  bool has_quantized() const { return quantized_ != nullptr; }
-  const nn::QuantizedNetwork* quantized() const { return quantized_.get(); }
-
-  // infer_batch_scores through the attached int8 network. Same shape and
-  // return contract as infer_batch_scores; counts toward the same
-  // inference stats. Falls back to the float path (with a one-shot warning)
-  // when no int8 network is attached. Unlike the float path it skips drift
-  // tracking and observe histograms — it is the minimal-overhead serving
-  // fast path; callers that want drift accounting use the float path.
-  int infer_batch_scores_int8(const double* features, int n, int count,
-                              double* scores_out, int* classes_out);
 
   // Output width of the model (classes for a classifier); 0 when the
   // network has no shaped layers.
@@ -110,7 +83,7 @@ class Engine {
   int num_features() { return model_in_features(); }
 
   // Presize every hot-path buffer — the network's forward/backward scratch,
-  // the engine's input staging slots, and the checkpoint shadow — for
+  // the engine's input staging slot, and the checkpoint shadow — for
   // batches of up to `max_batch_rows` rows, so even the *first* inference
   // or training step allocates nothing. The §3.3 "reserve before use"
   // discipline, applied at model build/load time.
@@ -147,8 +120,8 @@ class Engine {
   // True when every parameter of the network is finite.
   bool weights_finite();
 
-  // Input-drift tracking: infer_class/infer_batch feed every raw feature
-  // row into this tracker, whose baseline is the normalizer's (frozen)
+  // Input-drift tracking: infer_batch_scores feeds every raw feature row
+  // into this tracker, whose baseline is the normalizer's (frozen)
   // training-time moments. The max |z| is published to the registry
   // ("data.drift.max_z_milli") so the health monitor can watch it.
   const data::DriftTracker& drift() const { return drift_; }
@@ -161,23 +134,17 @@ class Engine {
   void reset_stats() { stats_ = EngineStats{}; }
 
  private:
-  // Workspace slot assignments.
-  static constexpr int kSlotInferIn = 0;  // 1 x n single-sample staging
-  static constexpr int kSlotBatchIn = 1;  // count x n batched staging
+  // Workspace slot of the count x n input staging.
+  static constexpr int kSlotBatchIn = 0;
 
   int model_in_features();
-
-  // Shared body of infer_batch / infer_batch_scores; either output may be
-  // nullptr (but not both — the callers enforce that).
-  int infer_batch_impl(const double* features, int n, int count,
-                       int* classes_out, double* scores_out);
 
   // Per-step model introspection (loss + per-layer gradient/weight-delta
   // norms) into the observe ring; no-op when observe is disabled. Must stay
   // allocation-free: it reads params_/good_params_ and the cached
   // param_layer_ map only.
   void record_introspection(double loss, bool valid, std::uint64_t ts_ns);
-  // Drift bookkeeping shared by the infer paths.
+  // Drift bookkeeping for one raw feature row.
   void observe_drift_row(const double* features, int n);
   // Top-2 output margin of `row`, milli-scaled, recorded as the
   // prediction-confidence histogram.
@@ -201,9 +168,6 @@ class Engine {
   std::vector<int> param_layer_;
   int trainable_layers_ = 0;
   data::DriftTracker drift_;
-  // Optional int8 serving copy (attach_quantized); null until attached.
-  std::unique_ptr<nn::QuantizedNetwork> quantized_;
-  bool int8_fallback_logged_ = false;
 };
 
 }  // namespace kml::runtime

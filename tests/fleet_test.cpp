@@ -101,68 +101,6 @@ TEST(FleetService, AdmitsCoalescesAndDecides) {
   EXPECT_EQ(service.folded_pushes(), 0u);
 }
 
-TEST(FleetService, Int8PathServesAndMatchesFloatDecisions) {
-  runtime::Engine engine = make_engine();
-
-  // Calibrate from workload windows — the batch a deployment would log.
-  fleet::FleetWorkloadConfig wc;
-  math::Rng crng(kSeed + 1);
-  matrix::MatD calib(128, engine.num_features());
-  for (int i = 0; i < 128; ++i) {
-    double f[fleet::kMaxFleetFeatures] = {};
-    fleet::make_window(f, engine.num_features(),
-                       fleet::true_class_of(static_cast<std::uint64_t>(i),
-                                            engine.num_classes()),
-                       wc.noise, crng);
-    for (int j = 0; j < engine.num_features(); ++j) calib.at(i, j) = f[j];
-  }
-  nn::QuantizedNetwork q;
-  ASSERT_TRUE(
-      nn::QuantizedNetwork::quantize_int8(engine.network(), calib, q));
-  engine.attach_quantized(std::move(q));
-  ASSERT_TRUE(engine.has_quantized());
-
-  // Same windows through a float service and an int8 service (bias
-  // adaptation off so the shared model alone decides).
-  fleet::FleetConfig fc;
-  fc.shards = 4;
-  fc.max_batch = 16;
-  fc.bias_lr = 0.0;
-  fleet::FleetConfig fc8 = fc;
-  fc8.use_int8 = true;
-  fleet::FleetService fservice(engine, fc);
-  fleet::FleetService qservice(engine, fc8);
-
-  math::Rng rng(kSeed);
-  for (std::uint64_t t = 0; t < 64; ++t) {
-    double f[fleet::kMaxFleetFeatures] = {};
-    fleet::make_window(f, engine.num_features(),
-                       fleet::true_class_of(t, engine.num_classes()),
-                       wc.noise, rng);
-    EXPECT_EQ(fservice.submit(t, f, engine.num_features()),
-              fleet::SubmitResult::kQueued);
-    EXPECT_EQ(qservice.submit(t, f, engine.num_features()),
-              fleet::SubmitResult::kQueued);
-  }
-  EXPECT_EQ(fservice.drain(kml_now_ns()), 64u);
-  EXPECT_EQ(qservice.drain(kml_now_ns()), 64u);
-
-  int agree = 0;
-  int correct = 0;
-  for (std::uint64_t t = 0; t < 64; ++t) {
-    if (qservice.last_class(t) == fservice.last_class(t)) ++agree;
-    if (qservice.last_class(t) ==
-        fleet::true_class_of(t, engine.num_classes())) {
-      ++correct;
-    }
-  }
-  // int8 quantization may flip a borderline window, not the fleet.
-  EXPECT_GE(agree, 62);
-  EXPECT_GE(correct, 60);
-  EXPECT_GE(qservice.stats().batches, 1u);
-  EXPECT_EQ(qservice.stats().infer_dropped, 0u);
-}
-
 TEST(FleetService, RateLimitsPerTenantAndRefillsOnTick) {
   runtime::Engine engine = make_engine();
   fleet::FleetConfig fc;

@@ -36,6 +36,13 @@ using observe::EventId;
 using observe::FlightSnapshot;
 using observe::TraceEvent;
 
+// Single-row classification through the engine's one inference entry.
+int classify(runtime::Engine& engine, const double* features, int n) {
+  int cls = -1;
+  engine.infer_batch_scores(features, n, 1, nullptr, &cls);
+  return cls;
+}
+
 #if !KML_OBSERVE_ENABLED
 
 // Compiled-out build: the whole surface must stub to inert no-ops.
@@ -359,13 +366,13 @@ TEST(HealthSignals, InputDriftTripsDegraded) {
   // Baseline mean 10, std 2; constant 30s are a z of 10 per feature. The
   // gauge publishes every 64 samples (past the tracker's 32-sample floor).
   const double shifted[4] = {30.0, 30.0, 30.0, 30.0};
-  for (int i = 0; i < 128; ++i) engine.infer_class(shifted, 4);
+  for (int i = 0; i < 128; ++i) classify(engine, shifted, 4);
   EXPECT_GE(engine.drift().max_z_milli(), 1000);
 
   monitor.observe_registry();  // primes baselines only
   EXPECT_EQ(monitor.state(), runtime::HealthState::kHealthy);
 
-  for (int i = 0; i < 64; ++i) engine.infer_class(shifted, 4);
+  for (int i = 0; i < 64; ++i) classify(engine, shifted, 4);
   monitor.observe_registry();  // sample count advanced -> judge the gauge
   EXPECT_EQ(monitor.state(), runtime::HealthState::kDegraded);
   EXPECT_GE(monitor.stats().drift_trips, 1u);

@@ -17,6 +17,13 @@
 namespace kml::runtime {
 namespace {
 
+// Single-row classification through the engine's one inference entry.
+int classify(Engine& engine, const double* features, int n) {
+  int cls = -1;
+  engine.infer_batch_scores(features, n, 1, nullptr, &cls);
+  return cls;
+}
+
 HealthConfig fast_config() {
   HealthConfig config;
   config.warmup_steps = 4;
@@ -311,7 +318,7 @@ TEST(EngineHealth, PoisonedWeightsFailTheMonitorAndRollbackRestores) {
 
   engine.set_mode(Mode::kInference);
   const double probe[2] = {0.4, -0.6};
-  const int before = engine.infer_class(probe, 2);
+  const int before = classify(engine, probe, 2);
 
   // Poison one weight: the next train step sees non-finite weights.
   auto params = engine.network().params();
@@ -335,7 +342,7 @@ TEST(EngineHealth, PoisonedWeightsFailTheMonitorAndRollbackRestores) {
   EXPECT_EQ(monitor.state(), HealthState::kDegraded);
 
   engine.set_mode(Mode::kInference);
-  EXPECT_EQ(engine.infer_class(probe, 2), before);
+  EXPECT_EQ(classify(engine, probe, 2), before);
 
   // ...and clean training afterwards recovers full health.
   engine.set_mode(Mode::kTraining);

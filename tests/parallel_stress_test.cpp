@@ -199,6 +199,13 @@ TEST(ParallelStress, ShardedBufferMultiProducerSingleConsumer) {
 
 // --- engine: inference concurrent with checkpointing -------------------------
 
+// Single-row classification through the engine's one inference entry.
+int classify(runtime::Engine& engine, const double* features, int n) {
+  int cls = -1;
+  engine.infer_batch_scores(features, n, 1, nullptr, &cls);
+  return cls;
+}
+
 struct InferArg {
   runtime::Engine* engine;
   const double* features;
@@ -212,7 +219,7 @@ void infer_main(void* arg) {
   auto* a = static_cast<InferArg*>(arg);
   a->ok = true;
   for (int i = 0; i < a->iters; ++i) {
-    if (a->engine->infer_class(a->features, a->n) != a->expected) {
+    if (classify(*a->engine, a->features, a->n) != a->expected) {
       a->ok = false;
       return;
     }
@@ -224,7 +231,7 @@ TEST(ParallelStress, InferConcurrentWithCheckpointThenRollback) {
   runtime::Engine engine(make_engine_net(8, 16, 4, 31));
   engine.warm_up(4);
   const double features[8] = {0.5, -0.25, 1.0, 0.75, -1.0, 0.1, 0.0, 2.0};
-  const int expected = engine.infer_class(features, 8);
+  const int expected = classify(engine, features, 8);
 
   // checkpoint() only READS the live weights (it deep-copies them into the
   // engine-private shadow), so it may overlap inference. rollback() WRITES
@@ -239,7 +246,7 @@ TEST(ParallelStress, InferConcurrentWithCheckpointThenRollback) {
   EXPECT_TRUE(infer.ok) << "inference diverged while checkpointing";
 
   EXPECT_TRUE(engine.rollback());
-  EXPECT_EQ(engine.infer_class(features, 8), expected);
+  EXPECT_EQ(classify(engine, features, 8), expected);
   kml_pool_shutdown();
 }
 
@@ -261,8 +268,8 @@ void batch_infer_main(void* arg) {
   a->ok = true;
   std::vector<int> got(static_cast<std::size_t>(a->count), -1);
   for (int i = 0; i < a->iters; ++i) {
-    if (a->engine->infer_batch(a->features->data(), a->n, a->count,
-                               got.data()) != a->count ||
+    if (a->engine->infer_batch_scores(a->features->data(), a->n, a->count,
+                                      nullptr, got.data()) != a->count ||
         got != *a->ref) {
       a->ok = false;
       return;
@@ -282,7 +289,8 @@ TEST(ParallelStress, PoolKernelsConcurrentWithForeignInference) {
   math::Rng frng(41);
   for (int i = 0; i < 16 * 8; ++i) features.push_back(frng.next_double());
   std::vector<int> ref(16, -1);
-  ASSERT_EQ(a.infer_batch(features.data(), 8, 16, ref.data()), 16);
+  ASSERT_EQ(a.infer_batch_scores(features.data(), 8, 16, nullptr, ref.data()),
+            16);
 
   BatchInferArg arg{&a, &features, 8, 16, &ref, 2'000, false};
   KmlThread* t = kml_thread_create(&batch_infer_main, &arg, "batch-infer");

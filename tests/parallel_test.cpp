@@ -180,14 +180,17 @@ TEST(ParallelDeterminism, InferBatchBitIdenticalAcrossThreadCounts) {
 
   kml_pool_set_threads(1);
   std::vector<int> ref(kCount, -1);
-  ASSERT_EQ(engine.infer_batch(features.data(), 64, kCount, ref.data()),
+  ASSERT_EQ(engine.infer_batch_scores(features.data(), 64, kCount, nullptr,
+                                      ref.data()),
             kCount);
   for (unsigned t : {2u, 8u}) {
     kml_pool_set_threads(t);
     std::vector<int> got(kCount, -2);
-    ASSERT_EQ(engine.infer_batch(features.data(), 64, kCount, got.data()),
+    ASSERT_EQ(engine.infer_batch_scores(features.data(), 64, kCount, nullptr,
+                                        got.data()),
               kCount);
-    EXPECT_EQ(ref, got) << "infer_batch diverged at " << t << " threads";
+    EXPECT_EQ(ref, got) << "batched inference diverged at " << t
+                        << " threads";
   }
   kml_pool_shutdown();
 }
@@ -291,12 +294,14 @@ TEST(ParallelZeroAlloc, SteadyStateInferBatchAtFourThreads) {
   }
   std::vector<int> classes(kCount, -1);
   // Warm-up dispatch spawns the pool workers.
-  ASSERT_EQ(engine.infer_batch(features.data(), 64, kCount, classes.data()),
+  ASSERT_EQ(engine.infer_batch_scores(features.data(), 64, kCount, nullptr,
+                                      classes.data()),
             kCount);
 
   const std::uint64_t before = kml_mem_stats().total_allocs;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(engine.infer_batch(features.data(), 64, kCount, classes.data()),
+    ASSERT_EQ(engine.infer_batch_scores(features.data(), 64, kCount, nullptr,
+                                        classes.data()),
               kCount);
   }
   EXPECT_EQ(kml_mem_stats().total_allocs, before)

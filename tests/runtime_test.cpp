@@ -78,6 +78,13 @@ nn::Network make_tiny_net(std::uint64_t seed = 5) {
   return net;
 }
 
+// Single-row classification through the engine's one inference entry.
+int classify(Engine& engine, const double* features, int n) {
+  int cls = -1;
+  engine.infer_batch_scores(features, n, 1, nullptr, &cls);
+  return cls;
+}
+
 TEST(Engine, ModeSwitch) {
   Engine engine(make_tiny_net());
   EXPECT_EQ(engine.mode(), Mode::kInference);
@@ -88,7 +95,7 @@ TEST(Engine, ModeSwitch) {
 TEST(Engine, InferenceCountsAndTimes) {
   Engine engine(make_tiny_net());
   const double f[2] = {0.5, -0.5};
-  const int cls = engine.infer_class(f, 2);
+  const int cls = classify(engine, f, 2);
   EXPECT_GE(cls, 0);
   EXPECT_LT(cls, 2);
   EXPECT_EQ(engine.stats().inferences, 1u);
@@ -111,8 +118,8 @@ TEST(Engine, InferenceAppliesNormalizer) {
   // Raw input near 1000: engine B sees z ~ 0, engine A sees z ~ 1000 (deep
   // saturation) — outputs must be computed from different activations.
   const double f[2] = {1000.0, -1000.0};
-  a.infer_class(f, 2);
-  b.infer_class(f, 2);
+  classify(a, f, 2);
+  classify(b, f, 2);
   // Verify through the underlying forward pass rather than argmax (which
   // can coincide): normalized inputs differ.
   matrix::MatD xa(1, 2);
@@ -175,7 +182,7 @@ TEST(Engine, FromFileRoundTrip) {
   Engine loaded{nn::Network{}};
   ASSERT_TRUE(Engine::from_file(loaded, path));
   const double f[2] = {0.3, 0.7};
-  EXPECT_EQ(loaded.infer_class(f, 2), original.infer_class(f, 2));
+  EXPECT_EQ(classify(loaded, f, 2), classify(original, f, 2));
   std::remove(path);
 }
 
@@ -189,14 +196,14 @@ TEST(Engine, FromFileFailureLeavesEngineIntact) {
   // with its current weights and stats.
   Engine engine(make_tiny_net(29));
   const double f[2] = {0.2, -0.9};
-  const int before_class = engine.infer_class(f, 2);
+  const int before_class = classify(engine, f, 2);
   const std::uint64_t before_inferences = engine.stats().inferences;
 
   EXPECT_FALSE(Engine::from_file(engine, "/tmp/kml_engine_missing.kml"));
 
   EXPECT_EQ(engine.stats().inferences, before_inferences);
   EXPECT_EQ(engine.network().num_layers(), make_tiny_net(29).num_layers());
-  EXPECT_EQ(engine.infer_class(f, 2), before_class);
+  EXPECT_EQ(classify(engine, f, 2), before_class);
 }
 
 // --- Zero-allocation hot paths -----------------------------------------------
@@ -207,11 +214,16 @@ TEST(Engine, FromFileFailureLeavesEngineIntact) {
 TEST(Engine, SteadyStateInferencePerformsZeroAllocations) {
   Engine engine(make_tiny_net());
   const double f[2] = {0.5, -0.5};
-  const int expected = engine.infer_class(f, 2);  // warm-up allocates caches
+  double scores[2];
+  int expected = -1;
+  // Warm-up allocates caches.
+  ASSERT_EQ(engine.infer_batch_scores(f, 2, 1, scores, &expected), 1);
 
   const std::uint64_t before = kml_mem_stats().total_allocs;
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(engine.infer_class(f, 2), expected);
+    int cls = -1;
+    ASSERT_EQ(engine.infer_batch_scores(f, 2, 1, scores, &cls), 1);
+    ASSERT_EQ(cls, expected);
   }
   EXPECT_EQ(kml_mem_stats().total_allocs, before)
       << "steady-state inference must not allocate";
@@ -223,10 +235,10 @@ TEST(Engine, WarmUpMakesFirstInferenceAllocationFree) {
   const double f[2] = {0.5, -0.5};
 
   const std::uint64_t before = kml_mem_stats().total_allocs;
-  engine.infer_class(f, 2);
+  classify(engine, f, 2);
   double batch[4 * 2] = {0.5, -0.5, 1.0, 2.0, -1.0, 0.0, 0.25, 0.75};
   int classes[4] = {};
-  engine.infer_batch(batch, 2, 4, classes);
+  engine.infer_batch_scores(batch, 2, 4, nullptr, classes);
   EXPECT_EQ(kml_mem_stats().total_allocs, before)
       << "after warm_up even the first calls must not allocate";
 }
@@ -262,9 +274,19 @@ TEST(Engine, InferBatchAgreesWithLoopedInfer) {
   }
 
   int batched[kCount];
-  ASSERT_EQ(engine.infer_batch(features.data(), 2, kCount, batched), kCount);
+  double batched_scores[kCount * 2];
+  ASSERT_EQ(engine.infer_batch_scores(features.data(), 2, kCount,
+                                      batched_scores, batched),
+            kCount);
   for (int i = 0; i < kCount; ++i) {
-    EXPECT_EQ(batched[i], engine.infer_class(&features[i * 2], 2)) << i;
+    // The same entry at count 1: identical class and identical score bits.
+    double scores[2];
+    int cls = -1;
+    ASSERT_EQ(engine.infer_batch_scores(&features[i * 2], 2, 1, scores, &cls),
+              1);
+    EXPECT_EQ(batched[i], cls) << i;
+    EXPECT_EQ(batched_scores[i * 2], scores[0]) << i;
+    EXPECT_EQ(batched_scores[i * 2 + 1], scores[1]) << i;
   }
   // Stats: the batch counted each sample as one inference.
   EXPECT_EQ(engine.stats().inferences,
@@ -274,13 +296,18 @@ TEST(Engine, InferBatchAgreesWithLoopedInfer) {
 TEST(Engine, InferBatchRejectsBadArguments) {
   Engine engine(make_tiny_net());
   const double f[2] = {0.5, -0.5};
+  double scores[2] = {-1.0, -1.0};
   int cls = -1;
-  EXPECT_EQ(engine.infer_batch(nullptr, 2, 1, &cls), 0);
-  EXPECT_EQ(engine.infer_batch(f, 2, 1, nullptr), 0);
-  EXPECT_EQ(engine.infer_batch(f, 2, 0, &cls), 0);
-  EXPECT_EQ(engine.infer_batch(f, 2, -3, &cls), 0);
-  EXPECT_EQ(engine.infer_batch(f, 0, 1, &cls), 0);
+  EXPECT_EQ(engine.infer_batch_scores(nullptr, 2, 1, scores, &cls), 0);
+  EXPECT_EQ(engine.infer_batch_scores(f, 2, 1, nullptr, nullptr), 0);
+  EXPECT_EQ(engine.infer_batch_scores(f, 2, 0, scores, &cls), 0);
+  EXPECT_EQ(engine.infer_batch_scores(f, 2, -3, scores, &cls), 0);
+  EXPECT_EQ(engine.infer_batch_scores(f, 0, 1, scores, &cls), 0);
+  const double wide[3] = {0.5, -0.5, 1.0};  // the model takes 2 features
+  EXPECT_EQ(engine.infer_batch_scores(wide, 3, 1, scores, &cls), 0);
   EXPECT_EQ(cls, -1);
+  EXPECT_EQ(scores[0], -1.0);
+  EXPECT_EQ(engine.stats().inferences, 0u);
 }
 
 TEST(Engine, CheckpointRollbackSteadyStateDoesNotAllocate) {

@@ -3,9 +3,10 @@
 #
 # With -DKML_SIMD_ENABLED=0 the ISA translation units are compiled out of
 # the build entirely, so the dispatcher and the scalar reference kernels
-# must form a complete, warning-clean library on their own: simd.cpp must
-# compile with the tier tables absent, and a probe TU exercising the whole
-# public seam must compile against it. This is the compile-time half of the
+# must form a complete, warning-clean library on their own: simd.cpp (with
+# the tiled_matmul.h scalar tier it includes) must compile with the tier
+# tables absent, and a probe TU exercising the whole public seam must
+# compile against it. This is the compile-time half of the
 # kill switch (the runtime half — KML_SIMD=off pinning the scalar tier — is
 # covered by simd_test forcing tiers programmatically).
 #
@@ -40,6 +41,7 @@ done
 # 2. A consumer TU touching the full seam compiles against the OFF build.
 cat > "$tmp/probe.cpp" <<'EOF'
 #include "portability/simd.h"
+#include "portability/tiled_matmul.h"
 
 using namespace kml;
 
@@ -50,9 +52,9 @@ int run_probe() {
   float fa[4] = {1, 2, 3, 4};
   float fb[4] = {5, 6, 7, 8};
   float fo[4] = {};
-  signed char qa[4] = {1, -2, 3, -4};
-  signed char qb[4] = {5, -6, 7, -8};
-  int qo[4] = {};
+  int ia[4] = {1, -2, 3, -4};
+  int ib[4] = {5, -6, 7, -8};
+  int io[4] = {};
 
   kml_simd_matmul_f64(a, 2, b, 2, o, 2, 2, 2, 2);
   kml_simd_matmul_bt_f64(a, 2, b, 2, o, 2, 2, 2, 2);
@@ -72,14 +74,16 @@ int run_probe() {
   kml_simd_exp_span(a, o, 4, ident);
   kml_simd_sigmoid_span(a, o, 4, ident);
   kml_simd_tanh_span(a, o, 4, ident);
-  kml_simd_gemm_s8(qa, 2, qb, 2, qo, 2, 2, 2, 2);
+  tiled_matmul(ia, 2, ib, 2, io, 2, 2, 2, 2);
+  tiled_matmul_bt(ia, 2, ib, 2, io, 2, 2, 2, 2);
+  tiled_matmul_at(ia, 2, ib, 2, io, 2, 2, 2, 2);
 
   int alive = static_cast<int>(kml_simd_detected());
   alive += static_cast<int>(kml_simd_level());
   alive += static_cast<int>(kml_simd_set_level(SimdLevel::kAvx2));
   alive += static_cast<int>(
       kml_simd_level_from_name(kml_simd_level_name(SimdLevel::kScalar)));
-  return alive + static_cast<int>(o[0] + fo[0]) + qo[0];
+  return alive + static_cast<int>(o[0] + fo[0]) + io[0];
 }
 EOF
 if ! "$CXX" $FLAGS "$tmp/probe.cpp" -o "$tmp/probe.o"; then

@@ -1,14 +1,15 @@
 // Tests for src/portability/simd: the determinism contract. Every
 // floating-point kernel must be BIT-identical across dispatch tiers
 // (scalar/SSE2/AVX2, forced via kml_simd_set_level — the programmatic twin
-// of KML_SIMD_LEVEL), the transcendental spans must reproduce the scalar
-// math/approx functions bit for bit including special values, and the int8
-// GEMM must be exact. The routed matrix::matmul paths are pinned against
-// matmul_naive at every tier so the seam stays honest end to end.
+// of KML_SIMD_LEVEL), and the transcendental spans must reproduce the
+// scalar math/approx functions bit for bit including special values. The
+// routed matrix::matmul paths are pinned against matmul_naive at every tier
+// so the seam stays honest end to end.
 #include "portability/simd.h"
 
 #include "math/approx.h"
 #include "matrix/linalg.h"
+#include "portability/threadpool.h"
 
 #include <gtest/gtest.h>
 
@@ -252,99 +253,56 @@ TEST(Simd, TranscendentalSpansMatchScalarBitsAtEveryTier) {
   }
 }
 
-TEST(Simd, Int8GemmExactAcrossTiers) {
-  TierGuard guard;
-  for (const Shape& s : kShapes) {
-    std::vector<std::int8_t> a(static_cast<std::size_t>(s.m) * s.k);
-    std::vector<std::int8_t> b(static_cast<std::size_t>(s.k) * s.n);
-    std::uint64_t seed = 0xabcdef01 + static_cast<std::uint64_t>(s.m * s.n);
-    for (auto& v : a) {
-      v = static_cast<std::int8_t>(static_cast<int>(next_u64(seed) % 255) -
-                                   127);
-    }
-    for (auto& v : b) {
-      v = static_cast<std::int8_t>(static_cast<int>(next_u64(seed) % 255) -
-                                   127);
-    }
-    // Grid extremes in known positions: the worst-case ±127·±127 products.
-    a.front() = 127;
-    b.front() = 127;
-    a.back() = -127;
-    b.back() = -127;
-
-    // Exact integer reference.
-    std::vector<std::int32_t> want(static_cast<std::size_t>(s.m) * s.n, 0);
-    for (int i = 0; i < s.m; ++i) {
-      for (int j = 0; j < s.n; ++j) {
-        std::int32_t acc = 0;
-        for (int kk = 0; kk < s.k; ++kk) {
-          acc += static_cast<std::int32_t>(
-                     a[static_cast<std::size_t>(i) * s.k + kk]) *
-                 static_cast<std::int32_t>(
-                     b[static_cast<std::size_t>(kk) * s.n + j]);
-        }
-        want[static_cast<std::size_t>(i) * s.n + j] = acc;
-      }
-    }
-
-    for (SimdLevel tier : available_tiers()) {
-      kml_simd_set_level(tier);
-      std::vector<std::int32_t> got(want.size(), -1);
-      kml_simd_gemm_s8(a.data(), s.k, b.data(), s.n, got.data(), s.n, s.m,
-                       s.n, s.k);
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i], want[i])
-            << "gemm_s8 tier " << kml_simd_level_name(tier) << " shape "
-            << s.m << "x" << s.n << "x" << s.k << " element " << i;
-      }
-    }
-  }
-}
-
 // End-to-end: the routed matrix::matmul must still match matmul_naive at
 // every tier (the pre-existing equivalence suites run at the default tier;
-// this pins the forced tiers too).
+// this pins the forced tiers too). The 67x65x61 shape runs with the pool at
+// 4 threads: its nine 8-row stripes split across all four workers, so the
+// stripe partition — ragged last stripe included — is checked against the
+// naive loops at the scalar (tiled) tier as well as the vector tiers.
+void expect_routed_matches_naive(int m, int n, int k, SimdLevel tier) {
+  matrix::MatD a(m, k);
+  matrix::MatD b(k, n);
+  matrix::MatD bt(n, k);
+  matrix::MatD at(k, m);
+  std::uint64_t s = 0x5ca1ab1e + static_cast<std::uint64_t>(m);
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = next_double(s);
+  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = next_double(s);
+  for (std::size_t i = 0; i < bt.size(); ++i) bt.data()[i] = next_double(s);
+  for (std::size_t i = 0; i < at.size(); ++i) at.data()[i] = next_double(s);
+  matrix::MatD want(m, n);
+  matrix::MatD got(m, n);
+  const auto expect_same = [&](const char* what) {
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(bits_of(got.data()[i]), bits_of(want.data()[i]))
+          << what << " tier " << kml_simd_level_name(tier) << " shape " << m
+          << "x" << n << "x" << k << " element " << i;
+    }
+  };
+
+  matrix::matmul_naive(a, b, want);
+  matrix::matmul(a, b, got);
+  expect_same("matmul");
+
+  matrix::matmul_bt_naive(a, bt, want);
+  matrix::matmul_bt(a, bt, got);
+  expect_same("matmul_bt");
+
+  matrix::matmul_at_naive(at, b, want);
+  matrix::matmul_at(at, b, got);
+  expect_same("matmul_at");
+}
+
 TEST(Simd, RoutedLinalgMatchesNaiveAtEveryTier) {
   TierGuard guard;
-  matrix::MatD a(13, 17);
-  matrix::MatD b(17, 11);
-  matrix::MatD bt(11, 17);
-  matrix::MatD at(17, 13);
-  {
-    std::uint64_t s = 0x5ca1ab1e;
-    for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = next_double(s);
-    for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = next_double(s);
-    for (std::size_t i = 0; i < bt.size(); ++i) bt.data()[i] = next_double(s);
-    for (std::size_t i = 0; i < at.size(); ++i) at.data()[i] = next_double(s);
-  }
-  matrix::MatD want(13, 11);
-  matrix::MatD got(13, 11);
+  const unsigned threads = kml_pool_threads();
   for (SimdLevel tier : available_tiers()) {
     kml_simd_set_level(tier);
-
-    matrix::matmul_naive(a, b, want);
-    matrix::matmul(a, b, got);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(bits_of(got.data()[i]), bits_of(want.data()[i]))
-          << "matmul tier " << kml_simd_level_name(tier) << " element " << i;
-    }
-
-    matrix::matmul_bt_naive(a, bt, want);
-    matrix::matmul_bt(a, bt, got);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(bits_of(got.data()[i]), bits_of(want.data()[i]))
-          << "matmul_bt tier " << kml_simd_level_name(tier) << " element "
-          << i;
-    }
-
-    matrix::matmul_at_naive(at, b, want);
-    matrix::matmul_at(at, b, got);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(bits_of(got.data()[i]), bits_of(want.data()[i]))
-          << "matmul_at tier " << kml_simd_level_name(tier) << " element "
-          << i;
-    }
+    kml_pool_set_threads(1);
+    expect_routed_matches_naive(13, 11, 17, tier);
+    kml_pool_set_threads(4);
+    expect_routed_matches_naive(67, 65, 61, tier);
   }
+  kml_pool_set_threads(threads);
 }
 
 TEST(Simd, LevelNamesRoundTripAndClamp) {
