@@ -1,18 +1,18 @@
 #include "kv/iterator.h"
 
-#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace kml::kv {
 
-// Sources: [0] = memtable snapshot (newest), then overlay runs newest->oldest,
-// then the base run. Lower source index wins on duplicate keys.
+// Sources: [0] = memtable (newest), then overlay runs newest->oldest, then
+// the base run. Lower source index wins on duplicate keys.
 Iterator::Iterator(MiniKV& db) : db_(db), generation_(db.generation()) {
   Source mem;
   mem.table = nullptr;
   sources_.push_back(mem);
   const MiniKV::LiveState* state = db.live();
-  snapshot_ = state->mem->sorted_keys();
+  pinned_mem_ = state->mem;
   pinned_runs_ = state->runs;
   for (auto it = pinned_runs_.rbegin(); it != pinned_runs_.rend(); ++it) {
     Source s;
@@ -36,22 +36,55 @@ bool Iterator::ensure_current() {
   return true;
 }
 
-std::uint64_t Iterator::source_count(const Source& s) const {
-  return s.table != nullptr ? s.table->entry_count()
-                            : static_cast<std::uint64_t>(snapshot_.size());
+std::uint64_t Iterator::source_key(const Source& s) const {
+  return s.table != nullptr ? s.table->key_at(s.idx) : s.pos->first;
 }
 
-std::uint64_t Iterator::source_key_at(const Source& s,
-                                      std::uint64_t idx) const {
-  return s.table != nullptr ? s.table->key_at(idx) : snapshot_[idx];
+void Iterator::seek_source(Source& s, std::uint64_t target) {
+  if (s.table != nullptr) {
+    s.idx = s.table->lower_bound(target);
+    s.exhausted = s.idx >= s.table->entry_count();
+  } else {
+    s.pos = pinned_mem_->lower_bound(target);
+    s.exhausted = s.pos == pinned_mem_->end();
+  }
 }
 
-std::uint64_t Iterator::source_lower_bound(const Source& s,
-                                           std::uint64_t key) const {
-  if (s.table != nullptr) return s.table->lower_bound(key);
-  return static_cast<std::uint64_t>(
-      std::lower_bound(snapshot_.begin(), snapshot_.end(), key) -
-      snapshot_.begin());
+void Iterator::seek_source_back(Source& s, std::uint64_t target) {
+  // One step back from the first key > target.
+  if (s.table != nullptr) {
+    const std::uint64_t after = target == UINT64_MAX
+                                    ? s.table->entry_count()
+                                    : s.table->lower_bound(target + 1);
+    s.exhausted = after == 0;
+    if (!s.exhausted) s.idx = after - 1;
+  } else {
+    const Memtable::ConstIter after =
+        target == UINT64_MAX ? pinned_mem_->end()
+                             : pinned_mem_->lower_bound(target + 1);
+    s.exhausted = after == pinned_mem_->begin();
+    if (!s.exhausted) s.pos = std::prev(after);
+  }
+}
+
+void Iterator::step_source(Source& s, bool forward) {
+  if (s.table != nullptr) {
+    if (forward) {
+      s.exhausted = ++s.idx >= s.table->entry_count();
+    } else if (s.idx == 0) {
+      s.exhausted = true;
+    } else {
+      --s.idx;
+    }
+  } else {
+    if (forward) {
+      s.exhausted = ++s.pos == pinned_mem_->end();
+    } else if (s.pos == pinned_mem_->begin()) {
+      s.exhausted = true;
+    } else {
+      --s.pos;
+    }
+  }
 }
 
 void Iterator::load_block(Source& s) {
@@ -65,30 +98,13 @@ void Iterator::load_block(Source& s) {
 
 void Iterator::seek_forward(std::uint64_t target) {
   forward_ = true;
-  for (Source& s : sources_) {
-    s.idx = source_lower_bound(s, target);
-    s.exhausted = s.idx >= source_count(s);
-  }
+  for (Source& s : sources_) seek_source(s, target);
   settle_forward();
 }
 
 void Iterator::seek_backward(std::uint64_t target) {
   forward_ = false;
-  for (Source& s : sources_) {
-    // Last entry with key <= target.
-    std::uint64_t idx;
-    if (target == UINT64_MAX) {
-      idx = source_count(s);
-    } else {
-      idx = source_lower_bound(s, target + 1);
-    }
-    if (idx == 0) {
-      s.exhausted = true;
-    } else {
-      s.idx = idx - 1;
-      s.exhausted = false;
-    }
-  }
+  for (Source& s : sources_) seek_source_back(s, target);
   settle_backward();
 }
 
@@ -97,7 +113,7 @@ void Iterator::settle_forward() {
   std::uint64_t best = UINT64_MAX;
   for (const Source& s : sources_) {
     if (s.exhausted) continue;
-    const std::uint64_t k = source_key_at(s, s.idx);
+    const std::uint64_t k = source_key(s);
     if (!valid_ || k < best) {
       best = k;
       valid_ = true;
@@ -107,7 +123,7 @@ void Iterator::settle_forward() {
   current_key_ = best;
   // Charge the block read of the newest source holding the winning key.
   for (Source& s : sources_) {
-    if (!s.exhausted && source_key_at(s, s.idx) == best) {
+    if (!s.exhausted && source_key(s) == best) {
       load_block(s);
       break;
     }
@@ -119,7 +135,7 @@ void Iterator::settle_backward() {
   std::uint64_t best = 0;
   for (const Source& s : sources_) {
     if (s.exhausted) continue;
-    const std::uint64_t k = source_key_at(s, s.idx);
+    const std::uint64_t k = source_key(s);
     if (!valid_ || k > best) {
       best = k;
       valid_ = true;
@@ -128,7 +144,7 @@ void Iterator::settle_backward() {
   if (!valid_) return;
   current_key_ = best;
   for (Source& s : sources_) {
-    if (!s.exhausted && source_key_at(s, s.idx) == best) {
+    if (!s.exhausted && source_key(s) == best) {
       load_block(s);
       break;
     }
@@ -165,11 +181,7 @@ void Iterator::next() {
     return;
   }
   for (Source& s : sources_) {
-    if (s.exhausted) continue;
-    if (source_key_at(s, s.idx) == current_key_) {
-      ++s.idx;
-      if (s.idx >= source_count(s)) s.exhausted = true;
-    }
+    if (!s.exhausted && source_key(s) == current_key_) step_source(s, true);
   }
   settle_forward();
 }
@@ -188,14 +200,7 @@ void Iterator::prev() {
     return;
   }
   for (Source& s : sources_) {
-    if (s.exhausted) continue;
-    if (source_key_at(s, s.idx) == current_key_) {
-      if (s.idx == 0) {
-        s.exhausted = true;
-      } else {
-        --s.idx;
-      }
-    }
+    if (!s.exhausted && source_key(s) == current_key_) step_source(s, false);
   }
   settle_backward();
 }

@@ -6,6 +6,9 @@
 // too — blocks are visited in descending order but each block's pages are
 // still read forward, which is exactly the page-access pattern the paper's
 // readreverse workload presents to the kernel readahead heuristic.
+//
+// The memtable is walked in place, not copied: any put invalidates the
+// iterator (see invalidated()), so a valid one never sees the map change.
 #pragma once
 
 #include "kv/minikv.h"
@@ -36,17 +39,19 @@ class Iterator {
 
  private:
   struct Source {
-    const Table* table;     // nullptr for the memtable snapshot
-    std::uint64_t idx = 0;  // current entry index within the source
+    const Table* table;       // nullptr for the memtable
+    std::uint64_t idx = 0;    // run: current entry index
+    Memtable::ConstIter pos;  // memtable: current entry
     bool exhausted = true;
     // Last block actually loaded for this source (dedupes block reads).
     std::uint64_t loaded_block = UINT64_MAX;
   };
 
   bool ensure_current();  // generation check; false = invalidated
-  std::uint64_t source_count(const Source& s) const;
-  std::uint64_t source_key_at(const Source& s, std::uint64_t idx) const;
-  std::uint64_t source_lower_bound(const Source& s, std::uint64_t key) const;
+  std::uint64_t source_key(const Source& s) const;  // key at the position
+  void seek_source(Source& s, std::uint64_t target);  // first key >= target
+  void seek_source_back(Source& s, std::uint64_t target);  // last <= target
+  void step_source(Source& s, bool forward);
   void load_block(Source& s);
   void seek_forward(std::uint64_t target);
   void seek_backward(std::uint64_t target);
@@ -54,11 +59,11 @@ class Iterator {
   void settle_backward();  // pick max key across sources, dedupe
 
   MiniKV& db_;
-  std::uint64_t generation_;             // db generation at construction
-  std::vector<std::uint64_t> snapshot_;  // memtable keys at construction
-  // Keeps the captured runs alive even if the db compacts them away while
-  // this iterator is stale — the generation check makes staleness loud,
-  // the pin makes even a missed check memory-safe.
+  std::uint64_t generation_;  // db generation at construction
+  // Keep the captured memtable and runs alive even if the db flushes or
+  // compacts them away while this iterator is stale — the generation check
+  // makes staleness loud, the pins make even a missed check memory-safe.
+  std::shared_ptr<const Memtable> pinned_mem_;
   std::vector<std::shared_ptr<Table>> pinned_runs_;
   std::vector<Source> sources_;  // [0] = memtable, then runs newest->oldest
   bool valid_ = false;

@@ -33,7 +33,9 @@ bool Memtable::put(std::uint64_t key, std::uint64_t seq) {
   const auto [it, inserted] = entries_.insert_or_assign(key, seq);
   (void)it;
   if (seq > max_seq_) max_seq_ = seq;
-  if (inserted) {
+  if (inserted && key == UINT64_MAX) {
+    has_max_key_.store(true, std::memory_order_release);
+  } else if (inserted) {
     // Publish into the lock-free index. Linear probe; the writer is the
     // only mutator, so an empty slot it observes stays empty until its own
     // release store below fills it.
@@ -53,6 +55,7 @@ bool Memtable::put(std::uint64_t key, std::uint64_t seq) {
 }
 
 bool Memtable::contains(std::uint64_t key) const {
+  if (key == UINT64_MAX) return has_max_key_.load(std::memory_order_acquire);
   const std::uint64_t tagged = key + 1;
   std::uint64_t i = mix64(key) & slot_mask_;
   // index_limit_ bounds occupancy at 50%, so an empty slot always stops the
@@ -76,6 +79,7 @@ std::vector<std::uint64_t> Memtable::sorted_keys() const {
 void Memtable::clear() {
   entries_.clear();
   max_seq_ = 0;
+  has_max_key_.store(false, std::memory_order_relaxed);
   for (std::uint64_t i = 0; i <= slot_mask_; ++i) {
     slots_[i].store(0, std::memory_order_relaxed);
   }

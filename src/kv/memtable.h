@@ -12,7 +12,8 @@
 //    workers running MiniKV::get_concurrent() can query a memtable that the
 //    writer is still appending to. Slots hold key+1 (0 = empty) and are
 //    published with release stores; a concurrent reader sees either the key
-//    or empty — never a torn slot.
+//    or empty — never a torn slot. UINT64_MAX, whose tag would wrap to the
+//    empty mark, lives in its own atomic flag instead.
 //
 // The index never shrinks and clear() is NOT safe under concurrent readers;
 // MiniKV never clears a shared memtable — flush retires the whole Memtable
@@ -82,6 +83,7 @@ class Memtable {
 
   // Open-addressing index: slot = key + 1, 0 = empty. Power-of-two size.
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
+  std::atomic<bool> has_max_key_{false};  // UINT64_MAX: no slot tag
   std::uint64_t slot_mask_ = 0;
   std::uint64_t index_limit_ = 0;  // max entries before index_full()
 };

@@ -23,14 +23,12 @@ void PageCache::read(FileHandle& file, std::uint64_t pgoff,
                      std::uint64_t count) {
   for (std::uint64_t p = pgoff; p < pgoff + count; ++p) {
     if (p >= file.size_pages) break;
-    const PageKey key{file.inode, p};
-    auto it = pages_.find(key);
-    if (it != pages_.end()) {
+    const std::uint32_t slot = slot_of(PageKey{file.inode, p});
+    if (slot != kNoSlot) {
       ++stats_.hits;
       KML_COUNTER_INC(observe::kMetricCacheHit);
       tracepoints_.emit(TraceEventType::kPageCacheHit, file.inode, p,
                         clock_.now_ns());
-      const std::uint32_t slot = it->second;
       Page& page = slots_[slot];
       if (page.speculative) {
         page.speculative = false;
@@ -65,15 +63,15 @@ void PageCache::write(FileHandle& file, std::uint64_t pgoff,
     // phantom dirty pages that sync_file() then "wrote back" to the device.
     if (p >= file.size_pages) break;
     const PageKey key{file.inode, p};
-    auto it = pages_.find(key);
-    if (it == pages_.end()) {
+    const std::uint32_t slot = slot_of(key);
+    if (slot == kNoSlot) {
       insert(key, /*speculative=*/false, /*dirty=*/true);
     } else {
-      Page& page = slots_[it->second];
+      Page& page = slots_[slot];
       if (!page.dirty) ++dirty_count_;
       page.dirty = true;
       page.speculative = false;
-      policy_->on_access(it->second);
+      policy_->on_access(slot);
     }
     tracepoints_.emit(TraceEventType::kWritebackDirtyPage, file.inode, p,
                       clock_.now_ns());
@@ -133,13 +131,36 @@ void PageCache::drop_all() {
   }
   slots_.clear();
   free_slots_.clear();
-  pages_.clear();
+  chunks_.clear();
+  memo_id_ = kNoChunk;
+  memo_ = nullptr;
   policy_->clear();
   dirty_count_ = 0;  // benchmark reset: dirty data is discarded, not synced
 }
 
 bool PageCache::cached(std::uint64_t inode, std::uint64_t pgoff) const {
-  return pages_.find(PageKey{inode, pgoff}) != pages_.end();
+  const auto it = chunks_.find(chunk_id(PageKey{inode, pgoff}));
+  return it != chunks_.end() && it->second.slot[pgoff & kChunkMask] != kNoSlot;
+}
+
+PageCache::Chunk* PageCache::chunk_of(const PageKey& key, bool create) {
+  const PageKey id = chunk_id(key);
+  if (memo_id_ == id && (memo_ != nullptr || !create)) return memo_;
+  if (create) {
+    const auto [it, fresh] = chunks_.try_emplace(id);
+    if (fresh) it->second.slot.fill(kNoSlot);
+    memo_ = &it->second;
+  } else {
+    const auto it = chunks_.find(id);
+    memo_ = it == chunks_.end() ? nullptr : &it->second;
+  }
+  memo_id_ = id;
+  return memo_;
+}
+
+std::uint32_t PageCache::slot_of(const PageKey& key) {
+  const Chunk* chunk = chunk_of(key, /*create=*/false);
+  return chunk == nullptr ? kNoSlot : chunk->slot[key.pgoff & kChunkMask];
 }
 
 bool PageCache::set_policy(EvictionPolicyType type,
@@ -179,7 +200,8 @@ void PageCache::do_readahead(FileHandle& file, std::uint64_t start,
   std::uint64_t run_start = PageCache::kNoMarker;
   for (std::uint64_t p = start; p <= start + count; ++p) {
     const bool in_range = p < start + count;
-    const bool is_cached = in_range && cached(file.inode, p);
+    const bool is_cached =
+        in_range && slot_of(PageKey{file.inode, p}) != kNoSlot;
     if (in_range && !is_cached) {
       if (run_start == PageCache::kNoMarker) run_start = p;
       continue;
@@ -202,14 +224,14 @@ void PageCache::do_readahead(FileHandle& file, std::uint64_t start,
   // windows that issued no I/O. The residency re-check still matters: under
   // extreme pressure the page can be evicted within this very call.
   if (marker_inserted) {
-    auto it = pages_.find(PageKey{file.inode, marker_pgoff});
-    if (it != pages_.end()) slots_[it->second].ra_marker = true;
+    const std::uint32_t slot = slot_of(PageKey{file.inode, marker_pgoff});
+    if (slot != kNoSlot) slots_[slot].ra_marker = true;
   }
 }
 
 void PageCache::insert(const PageKey& key, bool speculative, bool dirty) {
-  assert(pages_.find(key) == pages_.end());
-  while (pages_.size() >= capacity_) evict_one();
+  assert(slot_of(key) == kNoSlot);
+  while (resident_pages() >= capacity_) evict_one();
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -224,7 +246,10 @@ void PageCache::insert(const PageKey& key, bool speculative, bool dirty) {
   page.ra_marker = false;
   page.speculative = speculative;
   page.dirty = dirty;
-  pages_.emplace(key, slot);
+  // After reclaim: an eviction may have freed the chunk `key` falls in.
+  Chunk* chunk = chunk_of(key, /*create=*/true);
+  chunk->slot[key.pgoff & kChunkMask] = slot;
+  ++chunk->resident;
   policy_->on_insert(slot);
   if (dirty) ++dirty_count_;
   ++stats_.inserted;
@@ -233,7 +258,7 @@ void PageCache::insert(const PageKey& key, bool speculative, bool dirty) {
 }
 
 void PageCache::evict_one() {
-  assert(!pages_.empty());
+  assert(resident_pages() != 0);
   const std::uint32_t slot = policy_->pick_victim();
   Page& victim = slots_[slot];
   if (victim.speculative) ++stats_.prefetch_wasted;
@@ -245,7 +270,16 @@ void PageCache::evict_one() {
     ++stats_.dirty_evictions;
   }
   ++stats_.evicted;
-  pages_.erase(victim.key);
+  // Victims are rarely near the page being inserted, so this probe bypasses
+  // the memo rather than evicting the inserting chunk from it.
+  const PageKey id = chunk_id(victim.key);
+  const auto it = chunks_.find(id);
+  assert(it != chunks_.end());
+  it->second.slot[victim.key.pgoff & kChunkMask] = kNoSlot;
+  if (--it->second.resident == 0) {
+    if (memo_id_ == id) memo_ = nullptr;  // now known absent
+    chunks_.erase(it);
+  }
   victim.in_use = false;
   free_slots_.push_back(slot);
 }

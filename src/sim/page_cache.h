@@ -13,7 +13,9 @@
 //
 // Storage is slot-based: pages live in a slab with stable uint32_t slot
 // indices, so a policy tracks ordering with flat per-slot arrays instead of
-// owning the pages. Reads are charged synchronously on the virtual clock
+// owning the pages. A page is found through a per-file index of fixed-size
+// chunks of slot numbers, the analogue of Linux's address_space->i_pages
+// (DESIGN.md §13). Reads are charged synchronously on the virtual clock
 // (DESIGN.md §2): the modeled benefit of readahead is command batching, the
 // first-order effect on SSDs.
 #pragma once
@@ -24,6 +26,7 @@
 #include "sim/readahead.h"
 #include "sim/tracepoint.h"
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -105,7 +108,9 @@ class PageCache {
   const EvictionParams& policy_params() const { return policy_params_; }
 
   std::uint64_t capacity_pages() const { return capacity_; }
-  std::uint64_t resident_pages() const { return pages_.size(); }
+  std::uint64_t resident_pages() const {
+    return slots_.size() - free_slots_.size();
+  }
   const PageCacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = PageCacheStats{}; }
   ReadaheadEngine& readahead() { return ra_engine_; }
@@ -146,7 +151,32 @@ class PageCache {
     bool speculative = false; // inserted by prefetch, not yet accessed
     bool dirty = false;
   };
+  // sync_file, sync_all and set_policy scan every slot; a wider Page costs
+  // them cache lines.
+  static_assert(sizeof(Page) == 24);
 
+  // One chunk of the page index: the slots of kChunkPages consecutive pages
+  // of one file, kNoSlot where a page is not resident. Keyed in chunks_ by
+  // (inode, pgoff >> kChunkShift); allocated with its first resident page
+  // and freed with its last, so index memory is bounded by resident pages.
+  static constexpr unsigned kChunkShift = 6;
+  static constexpr std::uint64_t kChunkPages = 1ull << kChunkShift;
+  static constexpr std::uint64_t kChunkMask = kChunkPages - 1;
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  struct Chunk {
+    std::array<std::uint32_t, kChunkPages> slot;
+    std::uint32_t resident = 0;
+  };
+  static PageKey chunk_id(const PageKey& key) {
+    return PageKey{key.inode, key.pgoff >> kChunkShift};
+  }
+
+  // Slot of a resident page, kNoSlot if absent; goes through the memo.
+  std::uint32_t slot_of(const PageKey& key);
+  // The chunk covering `key`: the memo when the last lookup landed in the
+  // same chunk, else one directory probe. Absent -> nullptr, or a fresh
+  // empty chunk with `create`.
+  Chunk* chunk_of(const PageKey& key, bool create);
   void insert(const PageKey& key, bool speculative, bool dirty);
   void evict_one();
 
@@ -156,10 +186,17 @@ class PageCache {
   TracepointRegistry& tracepoints_;
   ReadaheadEngine ra_engine_;
   // Slot slab: stable indices for resident pages; freed slots are recycled
-  // LIFO. pages_ maps a key to its slot; the policy orders the slots.
+  // LIFO. chunks_ maps a key to its slot; the policy orders the slots.
   std::vector<Page> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<PageKey, std::uint32_t, PageKeyHash> pages_;
+  std::unordered_map<PageKey, Chunk, PageKeyHash> chunks_;
+  // One-entry memo of the last chunk looked up (nullptr = known absent).
+  // Consecutive pages of a readahead window or a MiniKV block share a
+  // chunk, so they cost one directory probe. The initial id names no chunk:
+  // pgoff >> kChunkShift never reaches UINT64_MAX.
+  static constexpr PageKey kNoChunk{0, UINT64_MAX};
+  PageKey memo_id_ = kNoChunk;
+  Chunk* memo_ = nullptr;
   EvictionPolicyType policy_type_;
   EvictionParams policy_params_;
   std::unique_ptr<EvictionPolicy> policy_;

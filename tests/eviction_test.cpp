@@ -243,34 +243,46 @@ TEST(LruEquivalence, ReplayMatchesPreRefactorCache) {
   RefLruCache ref(kCapacity, ref_clock, ref_dev);
   sim::FileTable ref_files(0);
 
-  const std::uint64_t sizes[2] = {600, 400};
-  std::uint64_t inodes[2];
-  for (int i = 0; i < 2; ++i) {
+  // The third file spans 2^62 pages, which only a sparse page index can
+  // hold: its offsets come from its last few hundred pages and from its
+  // whole range, so the reference's hash map checks the index op for op at
+  // the far end of the page-offset space.
+  constexpr std::uint64_t kHugePages = 1ull << 62;
+  constexpr std::uint64_t kTailPages = 300;
+  const std::uint64_t sizes[3] = {600, 400, kHugePages};
+  std::uint64_t inodes[3];
+  for (int i = 0; i < 3; ++i) {
     inodes[i] = new_files.create(sizes[i]).inode;
     ASSERT_EQ(ref_files.create(sizes[i]).inode, inodes[i]);
   }
 
   math::Rng rng(7);
+  // A page offset in file `fi`, up to `past_eof` pages beyond its end.
+  const auto pick_offset = [&](int fi, std::uint64_t past_eof) {
+    if (sizes[fi] != kHugePages) return rng.next_below(sizes[fi] + past_eof);
+    if (rng.next_below(2) == 0) return rng.next_below(kHugePages);
+    return kHugePages - kTailPages + rng.next_below(kTailPages + past_eof);
+  };
   for (std::uint64_t op = 0; op < 30'000; ++op) {
-    const int fi = rng.next_below(10) < 7 ? 0 : 1;
+    const std::uint64_t pick = rng.next_below(10);
+    const int fi = pick < 6 ? 0 : (pick < 8 ? 1 : 2);
     sim::FileHandle& nf = new_files.get(inodes[fi]);
     sim::FileHandle& rf = ref_files.get(inodes[fi]);
-    const std::uint64_t size = sizes[fi];
     const std::uint64_t r = rng.next_below(100);
     if (r < 55) {
-      const std::uint64_t off = rng.next_below(size);
+      const std::uint64_t off = pick_offset(fi, 0);
       const std::uint64_t count = 1 + rng.next_below(4);
       cache.read(nf, off, count);
       ref.read(rf, off, count);
     } else if (r < 75) {
       // Writes sometimes straddle (or start past) EOF — the clamp must
       // agree on both sides.
-      const std::uint64_t off = rng.next_below(size + 8);
+      const std::uint64_t off = pick_offset(fi, 8);
       const std::uint64_t count = 1 + rng.next_below(8);
       cache.write(nf, off, count);
       ref.write(rf, off, count);
     } else if (r < 90) {
-      const std::uint64_t start = rng.next_below(size);
+      const std::uint64_t start = pick_offset(fi, 0);
       const std::uint64_t count = 1 + rng.next_below(32);
       cache.do_readahead(nf, start, count, sim::PageCache::kNoMarker, start);
       ref.do_readahead(rf, start, count, start);

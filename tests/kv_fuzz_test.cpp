@@ -115,26 +115,71 @@ TEST_P(KvFuzz, SeeksMatchReferenceLowerBound) {
   MiniKV db(stack, fuzz_kv(base));
   std::set<std::uint64_t> reference;
   for (std::uint64_t k = 0; k < base; ++k) reference.insert(k);
+  // Keys whose only copy is in the memtable: put since the last flush and
+  // in no run. The walks below must cross some of them.
+  std::set<std::uint64_t> in_runs = reference;
+  std::set<std::uint64_t> in_mem;
 
   kml::math::Rng rng(GetParam() ^ 0x5eec);
-  for (int op = 0; op < 400; ++op) {
-    const std::uint64_t key = rng.next_below(4 * base);
-    db.put(key);
-    reference.insert(key);
-  }
-
-  auto it = db.new_iterator();
+  std::uint64_t memtable_only_steps = 0;
+  std::uint64_t direction_switches = 0;
   for (int probe = 0; probe < 300; ++probe) {
+    // Puts between scans, as the mixgraph workload issues them; each one
+    // invalidates the previous iterator, so every probe takes a fresh one.
+    for (std::uint64_t n = rng.next_below(4); n > 0; --n) {
+      const std::uint64_t key = rng.next_below(4 * base);
+      const std::uint64_t flushes = db.stats().flushes;
+      db.put(key);
+      reference.insert(key);
+      in_mem.insert(key);
+      if (db.stats().flushes != flushes) {
+        in_runs.insert(in_mem.begin(), in_mem.end());
+        in_mem.clear();
+      }
+    }
+    auto it = db.new_iterator();
     const std::uint64_t target = rng.next_below(5 * base);
     it->seek(target);
-    const auto ref = reference.lower_bound(target);
+    auto ref = reference.lower_bound(target);
     if (ref == reference.end()) {
       EXPECT_FALSE(it->valid()) << "target " << target;
-    } else {
-      ASSERT_TRUE(it->valid()) << "target " << target;
-      EXPECT_EQ(it->key(), *ref);
+      continue;
+    }
+    ASSERT_TRUE(it->valid()) << "target " << target;
+    ASSERT_EQ(it->key(), *ref) << "target " << target;
+
+    // A random walk from the seek: next()/prev() steps that switch
+    // direction, each checked against the reference.
+    bool forward = true;
+    for (int step = 0; step < 24; ++step) {
+      const bool next = rng.next_below(3) != 0 ? forward : !forward;
+      if (next != forward) ++direction_switches;
+      forward = next;
+      if (next) {
+        it->next();
+        ++ref;
+        if (ref == reference.end()) {
+          EXPECT_FALSE(it->valid()) << "next past " << target;
+          break;
+        }
+      } else {
+        it->prev();
+        if (ref == reference.begin()) {
+          EXPECT_FALSE(it->valid()) << "prev before " << target;
+          break;
+        }
+        --ref;
+      }
+      ASSERT_TRUE(it->valid()) << "probe " << probe << " step " << step;
+      ASSERT_EQ(it->key(), *ref) << "probe " << probe << " step " << step;
+      if (in_mem.count(*ref) > 0 && in_runs.count(*ref) == 0) {
+        ++memtable_only_steps;
+      }
     }
   }
+  EXPECT_GT(db.stats().flushes, 1u);
+  EXPECT_GT(memtable_only_steps, 0u);
+  EXPECT_GT(direction_switches, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvFuzz,

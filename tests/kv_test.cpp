@@ -99,14 +99,23 @@ TEST(SortedRunTest, FlushChargesDeviceWrite) {
 
 TEST(MemtableTest, PutContainsClear) {
   Memtable mem(128);
+  // The index tags a slot with key + 1, which wraps to "empty" for the top
+  // key: it must be absent until put and present after.
+  EXPECT_FALSE(mem.contains(UINT64_MAX));
   EXPECT_TRUE(mem.put(5));
   EXPECT_FALSE(mem.put(5));  // overwrite, not new
   EXPECT_TRUE(mem.contains(5));
   EXPECT_FALSE(mem.contains(6));
   EXPECT_EQ(mem.entry_count(), 1u);
   EXPECT_EQ(mem.approximate_bytes(), 128u);
+  EXPECT_FALSE(mem.contains(UINT64_MAX));
+  EXPECT_TRUE(mem.put(UINT64_MAX));
+  EXPECT_FALSE(mem.put(UINT64_MAX));
+  EXPECT_TRUE(mem.contains(UINT64_MAX));
+  EXPECT_EQ(mem.entry_count(), 2u);
   mem.clear();
   EXPECT_TRUE(mem.empty());
+  EXPECT_FALSE(mem.contains(UINT64_MAX));
 }
 
 TEST(MemtableTest, SortedKeysAreSorted) {
@@ -153,7 +162,9 @@ TEST(MiniKVTest, GetFindsEveryBaseKey) {
     EXPECT_TRUE(db.get(k)) << k;
   }
   EXPECT_FALSE(db.get(1000));
-  EXPECT_EQ(db.stats().gets, 12u);  // 11 present keys + 1 absent probe
+  EXPECT_FALSE(db.get(UINT64_MAX));  // never written
+  EXPECT_FALSE(db.get_concurrent(UINT64_MAX));
+  EXPECT_EQ(db.stats().gets, 13u);  // 11 present keys + 2 absent probes
 }
 
 TEST(MiniKVTest, GetChargesVirtualTime) {
