@@ -122,19 +122,6 @@ class ShardedBuffer {
     return n;
   }
 
-  // Single-element drain, same round-robin cursor, no metric publication —
-  // window-drain consumers call publish_metrics() once after their loop,
-  // exactly like the single-ring pattern.
-  bool pop(T& out) {
-    const std::size_t n_shards = shards_.size();
-    for (std::size_t i = 0; i < n_shards; ++i) {
-      const std::size_t idx = cursor_;
-      cursor_ = (cursor_ + 1) % n_shards;
-      if (shards_[idx]->pop(out)) return true;
-    }
-    return false;
-  }
-
   // Aggregate the per-shard ring counters into the shared observe registry
   // (each shard publishes its own deltas; the registry sums them).
   void publish_metrics() {

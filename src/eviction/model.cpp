@@ -47,34 +47,27 @@ data::Dataset collect_cache_training_data(
       CacheFeatureExtractor extractor;
 
       // Window the per-access stream on 1 s boundaries, exactly the
-      // records the online tuner would see.
-      std::vector<data::TraceRecord> window;
-      const int hook = stack.tracepoints().register_hook(
-          [&window](const sim::TraceEvent& ev) {
-            window.push_back(data::TraceRecord{
-                ev.inode, ev.pgoff, ev.time_ns,
-                static_cast<std::uint8_t>(ev.type)});
-          },
-          sim::kCacheStudyTracepoints);
-
-      std::uint64_t next_boundary =
-          stack.clock().now_ns() + sim::kNsPerSec;
+      // records the online tuner would see. Idle windows are skipped.
       std::uint64_t windows_taken = 0;
-      auto tick = [&](std::uint64_t now_ns) {
-        while (now_ns >= next_boundary) {
-          next_boundary += sim::kNsPerSec;
-          if (window.empty()) continue;
-          const CacheFeatureVector f =
-              extractor.extract(window, stack.cache().stats());
-          window.clear();
-          ++windows_taken;
-          if (config.skip_first_window && windows_taken == 1) continue;
-          dataset.add(f.data(), phase);
-        }
-      };
-      driver.run_phase(static_cast<CachePhase>(phase),
-                       config.seconds_per_run * sim::kNsPerSec, tick);
-      stack.tracepoints().unregister(hook);
+      data::Windower windower(
+          sim::kNsPerSec,
+          [&](std::uint64_t, const std::vector<data::TraceRecord>& window) {
+            if (window.empty()) return;
+            const CacheFeatureVector f =
+                extractor.extract(window, stack.cache().stats());
+            ++windows_taken;
+            if (config.skip_first_window && windows_taken == 1) return;
+            dataset.add(f.data(), phase);
+          },
+          stack.clock().now_ns());
+      const readahead::TraceHook hook(
+          stack.tracepoints(), sim::kCacheStudyTracepoints,
+          [&windower](const data::TraceRecord& rec) { windower.add(rec); });
+
+      driver.run_phase(
+          static_cast<CachePhase>(phase),
+          config.seconds_per_run * sim::kNsPerSec,
+          [&windower](std::uint64_t now_ns) { windower.advance_to(now_ns); });
     }
   }
   return dataset;

@@ -1,13 +1,10 @@
-// tuner.h — the closed loop of Figure 1, pointed at the reclaim policy.
-//
-// Same execution flow as the readahead tuner (§3.3): (1) hooks on the
-// per-access cache tracepoints push records into the sharded buffer; (2)
-// once per second the records are windowed and featurized against the
-// cache's own accounting; (3-4) the features go to the engine for
-// inference; (5) the tuner actuates — here by switching the page cache's
-// EvictionPolicy (and its knobs) instead of writing ra_pages. Changing the
-// policy changes future hits, which changes future features: the same
-// closed circuit, second case study.
+// tuner.h — the closed loop of Figure 1 (readahead/closed_loop.h), pointed
+// at the reclaim policy: per-access cache tracepoints feed the windows,
+// which are featurized against the cache's own accounting, and the tuner
+// actuates by switching the page cache's EvictionPolicy (and its knobs)
+// instead of writing ra_pages. Changing the policy changes future hits,
+// which changes future features: the same closed circuit, second case
+// study.
 //
 // Safety mirrors readahead: while the health monitor reports DEGRADED or
 // FAILED (including the cache hit-rate-collapse signal the monitor now
@@ -15,12 +12,10 @@
 // kernel-approximating policy — and stops trusting the model.
 #pragma once
 
-#include "data/sharded_buffer.h"
 #include "eviction/features.h"
+#include "readahead/closed_loop.h"
 #include "readahead/rl_tuner.h"
 #include "runtime/engine.h"
-#include "runtime/health.h"
-#include "sim/stack.h"
 
 #include <array>
 #include <functional>
@@ -49,7 +44,6 @@ struct CacheTunerConfig {
       default_policy_table();
   std::uint64_t period_ns = sim::kNsPerSec;
   std::size_t buffer_capacity = 1 << 16;
-  unsigned buffer_shards = 1;
   // Per-window inference cost on the virtual clock (same budget as the
   // readahead model; the network is the same shape).
   std::uint64_t inference_cpu_ns = 21'000;
@@ -69,50 +63,56 @@ struct CacheTimelinePoint {
   bool degraded = false;
 };
 
-class CacheTuner {
- public:
-  using PredictFn = std::function<int(const CacheFeatureVector&)>;
-
-  CacheTuner(sim::StorageStack& stack, PredictFn predict,
-             const CacheTunerConfig& config);
-  ~CacheTuner();
-
-  CacheTuner(const CacheTuner&) = delete;
-  CacheTuner& operator=(const CacheTuner&) = delete;
-
-  // Drive from the workload's per-op tick; closes windows and actuates on
-  // every period boundary crossed.
-  void on_tick(std::uint64_t now_ns);
-
-  const std::vector<CacheTimelinePoint>& timeline() const {
-    return timeline_;
+// The reclaim-policy knob: one feature row per window, one PolicyChoice.
+class CacheApp {
+ protected:
+  using Features = CacheFeatureVector;
+  using Config = CacheTunerConfig;
+  using Point = CacheTimelinePoint;
+  // Collection hook on the per-access tracepoints (hit/miss/writeback) —
+  // the eviction study's mask, disjoint windows from the readahead mask's
+  // insert stream.
+  static constexpr std::uint32_t kTracepoints = sim::kCacheStudyTracepoints;
+  static constexpr readahead::LoopMetrics kMetrics{
+      observe::kMetricCacheTunerWindows, observe::kMetricCacheTunerDegraded,
+      "cache.decision", observe::kMetricCacheStageCoalesceNs,
+      observe::kMetricCacheStageInferNs, observe::kMetricCacheStageDecideNs};
+  static const char* class_name(int cls) {
+    return cache_phase_name(static_cast<CachePhase>(cls));
   }
-  std::uint64_t windows() const { return timeline_.size(); }
-  std::uint64_t dropped_records() const { return buffer_.dropped(); }
-  std::uint64_t degraded_windows() const { return degraded_windows_; }
 
- private:
-  void close_window();
-  bool health_allows_actuation();
+  CacheApp(sim::StorageStack& stack, const CacheTunerConfig& config)
+      : stack_(stack), config_(config) {}
+
+  void begin_window(Point& point) {
+    point.policy = stack_.cache().policy_type();
+  }
+  void fall_back(runtime::HealthState state);
+  void featurize(const std::vector<data::TraceRecord>& window,
+                 std::vector<Features>& rows) {
+    rows.push_back(extractor_.extract(window, stack_.cache().stats()));
+  }
+  void actuate(std::size_t row, int cls, Point& point);
 
   sim::StorageStack& stack_;
-  PredictFn predict_;
   CacheTunerConfig config_;
-  data::ShardedBuffer<data::TraceRecord> buffer_;
-  std::vector<data::TraceRecord> window_;
+
+ private:
   CacheFeatureExtractor extractor_;
-  int hook_handle_;
-  std::uint64_t next_boundary_;
-  std::vector<CacheTimelinePoint> timeline_;
-  std::uint64_t degraded_windows_ = 0;
-  bool degraded_active_ = false;
 };
+
+using CacheTuner = readahead::ClosedLoopTuner<CacheApp>;
 
 // --- Engine adapters ---------------------------------------------------------
 
-CacheTuner::PredictFn make_cache_engine_predictor(runtime::Engine& engine);
-CacheBatchPredictFn make_cache_engine_batch_predictor(
-    runtime::Engine& engine);
+inline CacheTuner::PredictFn make_cache_engine_predictor(
+    runtime::Engine& engine) {
+  return readahead::engine_predictor<CacheFeatureVector>(engine);
+}
+inline CacheBatchPredictFn make_cache_engine_batch_predictor(
+    runtime::Engine& engine) {
+  return readahead::engine_batch_predictor<CacheFeatureVector>(engine);
+}
 
 // --- RL variant --------------------------------------------------------------
 //

@@ -2,7 +2,7 @@
 
 #include "math/approx.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace kml::readahead {
 
@@ -15,12 +15,22 @@ CandidateVector FeatureExtractor::extract(
   double abs_diff_sum = 0.0;
   double abs_diff_max = 0.0;
   std::uint64_t diff_count = 0;
-  std::unordered_set<std::uint64_t> inodes;
+  window_inodes_.clear();
+  const data::TraceRecord* prev_rec = nullptr;
 
   for (const data::TraceRecord& rec : window) {
     cumulative_offsets_.add(static_cast<double>(rec.pgoff));
     if (rec.kind != 0) ++writes;
-    inodes.insert(rec.inode);
+    // Consecutive records mostly share an inode (readahead inserts whole
+    // windows of one file), so only a change of inode searches the list.
+    if (prev_rec == nullptr || rec.inode != prev_rec->inode) {
+      const auto it = std::lower_bound(window_inodes_.begin(),
+                                       window_inodes_.end(), rec.inode);
+      if (it == window_inodes_.end() || *it != rec.inode) {
+        window_inodes_.insert(it, rec.inode);
+      }
+    }
+    prev_rec = &rec;
     if (have_prev_) {
       const double d = math::kml_abs(static_cast<double>(rec.pgoff) -
                                      static_cast<double>(prev_pgoff_));
@@ -41,7 +51,7 @@ CandidateVector FeatureExtractor::extract(
   f[5] = window.empty()
              ? 0.0
              : static_cast<double>(writes) / static_cast<double>(window.size());
-  f[6] = static_cast<double>(inodes.size());
+  f[6] = static_cast<double>(window_inodes_.size());
   f[7] = abs_diff_max;
   return f;
 }

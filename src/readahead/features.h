@@ -76,6 +76,9 @@ class FeatureExtractor {
   math::RunningStats cumulative_offsets_;
   bool have_prev_ = false;
   std::uint64_t prev_pgoff_ = 0;
+  // Distinct inodes of the current window, sorted; scratch reused across
+  // calls so a warmed extractor does not allocate.
+  std::vector<std::uint64_t> window_inodes_;
 };
 
 }  // namespace kml::readahead

@@ -1,128 +1,61 @@
 #include "readahead/file_tuner.h"
 
 #include "observe/flight_recorder.h"
-#include "observe/metrics.h"
 #include "portability/log.h"
 
 namespace kml::readahead {
 
-PerFileTuner::PerFileTuner(sim::StorageStack& stack,
-                           ReadaheadTuner::PredictFn predict,
-                           const TunerConfig& config,
-                           std::uint64_t min_events)
-    : stack_(stack),
-      predict_(std::move(predict)),
-      config_(config),
-      min_events_(min_events),
-      buffer_(config.buffer_capacity, config.buffer_shards),
-      next_boundary_(stack.clock().now_ns() + config.period_ns) {
-  hook_handle_ = stack_.tracepoints().register_hook(
-      [this](const sim::TraceEvent& ev) {
-        buffer_.push(data::TraceRecord{
-            ev.inode, ev.pgoff, ev.time_ns,
-            static_cast<std::uint8_t>(ev.type)});
-      },
-      sim::kKmlCollectionTracepoints);
-}
-
-PerFileTuner::~PerFileTuner() {
-  stack_.tracepoints().unregister(hook_handle_);
-}
-
-void PerFileTuner::on_tick(std::uint64_t now_ns) {
-  // Continuous drain, demultiplexed per inode.
-  data::TraceRecord rec;
-  while (buffer_.pop(rec)) {
-    per_file_[rec.inode].window.push_back(rec);
-  }
-  buffer_.publish_metrics();
-  while (now_ns >= next_boundary_) {
-    close_window();
-    next_boundary_ += config_.period_ns;
+void PerFileApp::fall_back(runtime::HealthState state) {
+  // Model quarantined: restore every inode we ever actuated back to the
+  // vanilla default.
+  KML_WARN("file_tuner: health %s — reverting %zu tuned files to vanilla "
+           "readahead (%u KB)",
+           runtime::health_state_name(state), files_.size(),
+           config_.vanilla_ra_kb);
+  for (auto& [inode, file] : files_) {
+    if (file.actuated && stack_.files().exists(inode)) {
+      stack_.block_layer().set_file_readahead_kb(inode,
+                                                 config_.vanilla_ra_kb);
+    }
+    file.actuated = false;
   }
 }
 
-void PerFileTuner::close_window() {
-  ++windows_;
-  last_decisions_.clear();
-
-  if (config_.health != nullptr &&
-      config_.health->state() != runtime::HealthState::kHealthy) {
-    // Model quarantined: restore every inode we ever actuated back to the
-    // vanilla default, discard the window's records, skip all inference.
-    if (!degraded_active_) {
-      degraded_active_ = true;
-      KML_WARN("file_tuner: health %s — reverting %zu tuned files to "
-               "vanilla readahead (%u KB)",
-               runtime::health_state_name(config_.health->state()),
-               per_file_.size(), config_.vanilla_ra_kb);
-      for (auto& [inode, state] : per_file_) {
-        if (state.actuated && stack_.files().exists(inode)) {
-          stack_.block_layer().set_file_readahead_kb(inode,
-                                                     config_.vanilla_ra_kb);
-        }
-        state.actuated = false;
-      }
+void PerFileApp::featurize(const std::vector<data::TraceRecord>& window,
+                           std::vector<Features>& rows) {
+  for (const data::TraceRecord& rec : window) {
+    files_[rec.inode].window.push_back(rec);
+  }
+  // One feature row per busy, live inode, staged contiguously so the whole
+  // window is classified in one batched inference (one network forward
+  // pass) instead of one per file.
+  for (auto it = files_.begin(); it != files_.end();) {
+    const std::uint64_t inode = it->first;
+    FileState& file = it->second;
+    if (!stack_.files().exists(inode)) {  // compacted away
+      it = files_.erase(it);
+      continue;
     }
-    for (auto& [inode, state] : per_file_) state.window.clear();
-    degraded_windows_ += 1;
-    observe::counter_add(observe::kMetricRaDegradedWindows);
-    return;
-  }
-  degraded_active_ = false;
-
-  // Pass 1: featurize every eligible inode. The feature rows are staged
-  // contiguously so the whole window can be classified in one batched
-  // inference (one network forward pass) instead of one per file.
-  batch_features_.clear();
-  for (auto& [inode, state] : per_file_) {
-    std::vector<data::TraceRecord> window;
-    window.swap(state.window);
-    if (window.size() < min_events_) continue;
-    if (!stack_.files().exists(inode)) continue;  // compacted away
-
-    batch_features_.push_back(state.extractor.extract_selected(
-        window, stack_.block_layer().file_readahead_kb(inode)));
-    FileDecision decision;
-    decision.inode = inode;
-    decision.predicted_class = -1;
-    decision.events = window.size();
-    decision.ra_kb = stack_.block_layer().file_readahead_kb(inode);
-    last_decisions_.push_back(decision);
-  }
-  if (last_decisions_.empty()) return;
-
-  // Pass 2: classify the window. CPU is charged per sample either way, so
-  // the virtual timeline is independent of which path runs.
-  const int count = static_cast<int>(last_decisions_.size());
-  batch_classes_.assign(static_cast<std::size_t>(count), -1);
-  if (config_.batch_predict) {
-    config_.batch_predict(batch_features_.data(), count,
-                          batch_classes_.data());
-  } else {
-    for (int i = 0; i < count; ++i) {
-      batch_classes_[static_cast<std::size_t>(i)] =
-          predict_(batch_features_[static_cast<std::size_t>(i)]);
+    if (file.window.size() >= min_events_) {
+      const std::uint32_t ra_kb = stack_.block_layer().file_readahead_kb(inode);
+      rows.push_back(file.extractor.extract_selected(file.window, ra_kb));
+      decisions_.push_back(FileDecision{inode, -1, ra_kb, file.window.size()});
     }
+    file.window.clear();
+    ++it;
   }
-  for (int i = 0; i < count; ++i) stack_.charge_cpu_ns(config_.inference_cpu_ns);
+}
 
-  // Pass 3: actuate.
-  for (int i = 0; i < count; ++i) {
-    FileDecision& decision = last_decisions_[static_cast<std::size_t>(i)];
-    const int cls = batch_classes_[static_cast<std::size_t>(i)];
-    decision.predicted_class = cls;
-    if (cls >= 0 && cls < workloads::kNumTrainingClasses) {
-      decision.ra_kb = config_.class_ra_kb[static_cast<std::size_t>(cls)];
-      stack_.block_layer().set_file_readahead_kb(decision.inode,
-                                                 decision.ra_kb);
-      per_file_[decision.inode].actuated = true;
-      count_decision(cls);
-      observe::counter_add("readahead.file.actuations");
-      KML_EVENT(observe::EventId::kFileTunerDecision,
-                static_cast<std::uint64_t>(cls), decision.ra_kb);
-    }
-  }
+void PerFileApp::actuate(std::size_t row, int cls, Point&) {
+  FileDecision& decision = decisions_[row];
+  decision.predicted_class = cls;
+  if (cls < 0 || cls >= workloads::kNumTrainingClasses) return;
+  decision.ra_kb = config_.class_ra_kb[static_cast<std::size_t>(cls)];
+  stack_.block_layer().set_file_readahead_kb(decision.inode, decision.ra_kb);
+  files_[decision.inode].actuated = true;
+  observe::counter_add("readahead.file.actuations");
+  KML_EVENT(observe::EventId::kFileTunerDecision,
+            static_cast<std::uint64_t>(cls), decision.ra_kb);
 }
 
 }  // namespace kml::readahead

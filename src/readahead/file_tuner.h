@@ -4,14 +4,13 @@
 // per-file state, not one global knob. That granularity is what saves mixed
 // tenants: when a sequential scan and a random-read workload share the
 // machine, any single readahead value must sacrifice one of them. The
-// PerFileTuner demultiplexes the tracepoint stream by inode, runs the same
-// classifier per file, and actuates each struct file independently.
+// PerFileTuner runs the same closed loop (closed_loop.h) as the global
+// tuner, demultiplexes each window by inode, classifies every busy file in
+// one batched call, and actuates each struct file independently.
 #pragma once
 
-#include "data/sharded_buffer.h"
 #include "readahead/features.h"
 #include "readahead/tuner.h"
-#include "sim/stack.h"
 
 #include <unordered_map>
 #include <vector>
@@ -25,56 +24,62 @@ struct FileDecision {
   std::uint64_t events;
 };
 
-class PerFileTuner {
+class PerFileApp {
  public:
+  // Decisions made in the most recently closed window.
+  const std::vector<FileDecision>& last_window_decisions() const {
+    return decisions_;
+  }
+
+  // Inodes with per-file state. A deleted file's state is dropped when the
+  // next window is featurized (inode numbers are never reused), so this
+  // tracks the live files the tuner has seen, not every file ever read.
+  std::size_t tracked_files() const { return files_.size(); }
+
+ protected:
+  using Features = FeatureVector;
+  using Config = TunerConfig;
+  // The timeline records the global readahead in force; per-file choices
+  // are in last_window_decisions().
+  using Point = TimelinePoint;
+  static constexpr std::uint32_t kTracepoints =
+      sim::kKmlCollectionTracepoints;
+  static constexpr LoopMetrics kMetrics = kReadaheadLoopMetrics;
+  static const char* class_name(int cls) {
+    return ReadaheadApp::class_name(cls);
+  }
+
   // `min_events`: files with fewer records in a window are left alone
   // (too little signal; also skips cold/incidental files like the WAL
   // between group commits).
-  PerFileTuner(sim::StorageStack& stack, ReadaheadTuner::PredictFn predict,
-               const TunerConfig& config, std::uint64_t min_events = 64);
-  ~PerFileTuner();
+  PerFileApp(sim::StorageStack& stack, const TunerConfig& config,
+             std::uint64_t min_events = 64)
+      : stack_(stack), config_(config), min_events_(min_events) {}
 
-  PerFileTuner(const PerFileTuner&) = delete;
-  PerFileTuner& operator=(const PerFileTuner&) = delete;
-
-  void on_tick(std::uint64_t now_ns);
-
-  // Decisions made in the most recently closed window.
-  const std::vector<FileDecision>& last_window_decisions() const {
-    return last_decisions_;
+  void begin_window(Point& point) {
+    decisions_.clear();
+    point.ra_kb = stack_.block_layer().readahead_kb();
   }
-  std::uint64_t windows() const { return windows_; }
-  std::uint64_t dropped_records() const { return buffer_.dropped(); }
+  void fall_back(runtime::HealthState state);
+  void featurize(const std::vector<data::TraceRecord>& window,
+                 std::vector<Features>& rows);
+  void actuate(std::size_t row, int cls, Point& point);
 
-  // Windows spent with actuation suspended by the health guard.
-  std::uint64_t degraded_windows() const { return degraded_windows_; }
+  sim::StorageStack& stack_;
+  TunerConfig config_;
 
  private:
-  void close_window();
-
   struct FileState {
     FeatureExtractor extractor;
-    std::vector<data::TraceRecord> window;
+    std::vector<data::TraceRecord> window;  // reused, cleared in place
     bool actuated = false;  // we changed this inode's ra from the default
   };
 
-  sim::StorageStack& stack_;
-  ReadaheadTuner::PredictFn predict_;
-  TunerConfig config_;
   std::uint64_t min_events_;
-  data::ShardedBuffer<data::TraceRecord> buffer_;
-  std::unordered_map<std::uint64_t, FileState> per_file_;
-  int hook_handle_;
-  std::uint64_t next_boundary_;
-  std::uint64_t windows_ = 0;
-  std::uint64_t degraded_windows_ = 0;
-  bool degraded_active_ = false;
-  std::vector<FileDecision> last_decisions_;
-  // Window-scoped batch staging, reused across windows: feature rows for
-  // every eligible inode (contiguous, ready for one batched inference) and
-  // the class ids coming back.
-  std::vector<FeatureVector> batch_features_;
-  std::vector<int> batch_classes_;
+  std::unordered_map<std::uint64_t, FileState> files_;
+  std::vector<FileDecision> decisions_;  // one per feature row
 };
+
+using PerFileTuner = ClosedLoopTuner<PerFileApp>;
 
 }  // namespace kml::readahead

@@ -9,29 +9,6 @@
 
 namespace kml::readahead {
 
-ReadaheadTuner::PredictFn make_engine_predictor(runtime::Engine& engine) {
-  return [&engine](const FeatureVector& features) {
-    int cls = -1;
-    engine.infer_batch_scores(features.data(), kNumSelectedFeatures, 1,
-                              nullptr, &cls);
-    return cls;
-  };
-}
-
-BatchPredictFn make_engine_batch_predictor(runtime::Engine& engine) {
-  // A FeatureVector is a padding-free std::array of doubles, so `count` of
-  // them in a row form exactly the row-major (count x kNumSelectedFeatures)
-  // block Engine::infer_batch_scores expects.
-  static_assert(sizeof(FeatureVector) ==
-                kNumSelectedFeatures * sizeof(double));
-  return [&engine](const FeatureVector* features, int count,
-                   int* classes_out) {
-    if (features == nullptr || count <= 0) return;
-    engine.infer_batch_scores(features->data(), kNumSelectedFeatures, count,
-                              nullptr, classes_out);
-  };
-}
-
 kv::KVConfig make_kv_config(const ExperimentConfig& config) {
   kv::KVConfig kv;
   kv.num_keys = config.num_keys;
@@ -61,46 +38,33 @@ data::Dataset collect_training_data(const TraceGenConfig& config) {
       // Window the tracepoint stream and label each window with the
       // running workload — the supervision signal of §4.
       FeatureExtractor extractor;
-      std::vector<data::TraceRecord> window;
-      std::uint64_t next_boundary = sim::kNsPerSec;
-      std::uint64_t window_index = 0;
-      const int hook = stack.tracepoints().register_hook(
-          [&window](const sim::TraceEvent& ev) {
-            window.push_back(data::TraceRecord{
-                ev.inode, ev.pgoff, ev.time_ns,
-                static_cast<std::uint8_t>(ev.type)});
-          },
-          sim::kKmlCollectionTracepoints);
-
-      workloads::WorkloadConfig wc;
-      wc.type = type;
-      wc.seed = config.base.seed + static_cast<std::uint64_t>(w) * 131 +
-                ra_kb;
-      const auto on_tick = [&](std::uint64_t now_ns) {
-        while (now_ns >= next_boundary) {
-          CandidateVector all = extractor.extract(
-              window, stack.block_layer().readahead_kb());
-          if (config.log_features) {
-            all = FeatureExtractor::log_compress(all);
-          }
-          if (!(config.skip_first_window && window_index == 0)) {
+      data::Windower windower(
+          sim::kNsPerSec, [&](std::uint64_t index,
+                              const std::vector<data::TraceRecord>& window) {
+            CandidateVector all = extractor.extract(
+                window, stack.block_layer().readahead_kb());
+            if (config.log_features) {
+              all = FeatureExtractor::log_compress(all);
+            }
+            if (config.skip_first_window && index == 0) return;
             if (config.all_candidate_features) {
               dataset.add(all.data(), w);
             } else {
               const FeatureVector f = FeatureExtractor::select(all);
               dataset.add(f.data(), w);
             }
-          }
-          window.clear();
-          ++window_index;
-          next_boundary += sim::kNsPerSec;
-        }
-      };
+          });
+      const TraceHook hook(
+          stack.tracepoints(), sim::kKmlCollectionTracepoints,
+          [&windower](const data::TraceRecord& rec) { windower.add(rec); });
 
-      workloads::run_workload(db, wc,
-                              config.seconds_per_run * sim::kNsPerSec,
-                              UINT64_MAX, on_tick);
-      stack.tracepoints().unregister(hook);
+      workloads::WorkloadConfig wc;
+      wc.type = type;
+      wc.seed = config.base.seed + static_cast<std::uint64_t>(w) * 131 +
+                ra_kb;
+      workloads::run_workload(
+          db, wc, config.seconds_per_run * sim::kNsPerSec, UINT64_MAX,
+          [&windower](std::uint64_t now_ns) { windower.advance_to(now_ns); });
     }
   }
   return dataset;
@@ -112,27 +76,18 @@ data::Dataset dataset_from_trace(sim::TraceReader& reader, int label,
                                  bool skip_first_window) {
   data::Dataset dataset(kNumSelectedFeatures);
   FeatureExtractor extractor;
-  std::vector<data::TraceRecord> window;
-  std::uint64_t next_boundary = period_ns;
-  std::uint64_t window_index = 0;
-
-  const auto close_window = [&] {
-    const FeatureVector f = extractor.extract_selected(window, ra_kb);
-    if (!(skip_first_window && window_index == 0) && !window.empty()) {
-      dataset.add(f.data(), label);
-    }
-    window.clear();
-    ++window_index;
-    next_boundary += period_ns;
-  };
+  data::Windower windower(
+      period_ns, [&](std::uint64_t index,
+                     const std::vector<data::TraceRecord>& window) {
+        const FeatureVector f = extractor.extract_selected(window, ra_kb);
+        if (!(skip_first_window && index == 0) && !window.empty()) {
+          dataset.add(f.data(), label);
+        }
+      });
 
   sim::TraceEvent ev;
-  while (reader.next(ev)) {
-    while (ev.time_ns >= next_boundary) close_window();
-    window.push_back(data::TraceRecord{ev.inode, ev.pgoff, ev.time_ns,
-                                       static_cast<std::uint8_t>(ev.type)});
-  }
-  if (!window.empty()) close_window();
+  while (reader.next(ev)) windower.push(to_record(ev));
+  if (windower.pending() > 0) windower.flush();
   return dataset;
 }
 
@@ -149,28 +104,14 @@ SequenceDataset collect_sequence_data(const SequenceGenConfig& config) {
       stack.block_layer().set_readahead_kb(ra_kb);
 
       FeatureExtractor extractor;
-      std::vector<data::TraceRecord> window;
       std::vector<FeatureVector> rows;
-      std::uint64_t next_boundary = period_ns;
       bool first_sequence = true;
-      const int hook = stack.tracepoints().register_hook(
-          [&window](const sim::TraceEvent& ev) {
-            window.push_back(data::TraceRecord{
-                ev.inode, ev.pgoff, ev.time_ns,
-                static_cast<std::uint8_t>(ev.type)});
-          },
-          sim::kKmlCollectionTracepoints);
-
-      workloads::WorkloadConfig wc;
-      wc.type = type;
-      wc.seed = config.base.seed + static_cast<std::uint64_t>(w) * 37 + ra_kb;
-      const auto on_tick = [&](std::uint64_t now_ns) {
-        while (now_ns >= next_boundary) {
-          rows.push_back(extractor.extract_selected(
-              window, stack.block_layer().readahead_kb()));
-          window.clear();
-          next_boundary += period_ns;
-          if (static_cast<int>(rows.size()) == steps) {
+      data::Windower windower(
+          period_ns, [&](std::uint64_t,
+                         const std::vector<data::TraceRecord>& window) {
+            rows.push_back(extractor.extract_selected(
+                window, stack.block_layer().readahead_kb()));
+            if (static_cast<int>(rows.size()) < steps) return;
             if (!first_sequence) {  // skip the cold-cache sequence
               matrix::MatD seq(steps, kNumSelectedFeatures);
               for (int t = 0; t < steps; ++t) {
@@ -184,13 +125,17 @@ SequenceDataset collect_sequence_data(const SequenceGenConfig& config) {
             }
             first_sequence = false;
             rows.clear();
-          }
-        }
-      };
-      workloads::run_workload(db, wc,
-                              config.seconds_per_run * sim::kNsPerSec,
-                              UINT64_MAX, on_tick);
-      stack.tracepoints().unregister(hook);
+          });
+      const TraceHook hook(
+          stack.tracepoints(), sim::kKmlCollectionTracepoints,
+          [&windower](const data::TraceRecord& rec) { windower.add(rec); });
+
+      workloads::WorkloadConfig wc;
+      wc.type = type;
+      wc.seed = config.base.seed + static_cast<std::uint64_t>(w) * 37 + ra_kb;
+      workloads::run_workload(
+          db, wc, config.seconds_per_run * sim::kNsPerSec, UINT64_MAX,
+          [&windower](std::uint64_t now_ns) { windower.advance_to(now_ns); });
     }
   }
   return dataset;

@@ -27,12 +27,17 @@ namespace kml::readahead {
 
 // Per-sample classifier over a runtime Engine (must be in inference mode
 // and outlive the returned function).
-ReadaheadTuner::PredictFn make_engine_predictor(runtime::Engine& engine);
+inline ReadaheadTuner::PredictFn make_engine_predictor(
+    runtime::Engine& engine) {
+  return engine_predictor<FeatureVector>(engine);
+}
 
 // Batched classifier over Engine::infer_batch_scores: a whole window of
 // feature rows classified in one forward pass. Plug into
 // TunerConfig::batch_predict.
-BatchPredictFn make_engine_batch_predictor(runtime::Engine& engine);
+inline BatchPredictFn make_engine_batch_predictor(runtime::Engine& engine) {
+  return engine_batch_predictor<FeatureVector>(engine);
+}
 
 // Shared experiment scale. The defaults are chosen so that the database is
 // ~16x the page cache (misses dominate for uniform-random reads) while runs

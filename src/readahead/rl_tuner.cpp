@@ -40,26 +40,19 @@ QLearningTuner::QLearningTuner(sim::StorageStack& stack,
     : stack_(stack),
       config_(config),
       actuate_(std::move(actuate)),
-      buffer_(config.buffer_capacity),
       rng_(config.seed),
       q_(static_cast<std::size_t>(kPatternBuckets * kRateBuckets) *
              config.actions_kb.size(),
          0.0),
       visits_(q_.size(), 0),
-      next_boundary_(stack.clock().now_ns() + config.period_ns),
-      epsilon_(config.epsilon) {
+      epsilon_(config.epsilon),
+      collection_(stack, sim::kKmlCollectionTracepoints,
+                  config.buffer_capacity, config.period_ns,
+                  [this](std::uint64_t,
+                         const std::vector<data::TraceRecord>& window) {
+                    close_window(window);
+                  }) {
   assert(!config_.actions_kb.empty());
-  hook_handle_ = stack_.tracepoints().register_hook(
-      [this](const sim::TraceEvent& ev) {
-        buffer_.push(data::TraceRecord{
-            ev.inode, ev.pgoff, ev.time_ns,
-            static_cast<std::uint8_t>(ev.type)});
-      },
-      sim::kKmlCollectionTracepoints);
-}
-
-QLearningTuner::~QLearningTuner() {
-  stack_.tracepoints().unregister(hook_handle_);
 }
 
 int QLearningTuner::state_count() const {
@@ -91,22 +84,15 @@ int QLearningTuner::greedy_action(int state) const {
 
 void QLearningTuner::on_tick(std::uint64_t now_ns,
                              std::uint64_t ops_completed) {
-  data::TraceRecord rec;
-  while (buffer_.pop(rec)) window_.push_back(rec);
-  buffer_.publish_metrics();
-  while (now_ns >= next_boundary_) {
-    close_window(ops_completed);
-    next_boundary_ += config_.period_ns;
-  }
+  ops_completed_ = ops_completed;
+  collection_.on_tick(now_ns);
 }
 
-void QLearningTuner::close_window(std::uint64_t ops_completed) {
-  std::vector<data::TraceRecord> window;
-  window.swap(window_);
-
+void QLearningTuner::close_window(
+    const std::vector<data::TraceRecord>& window) {
   const double reward =
-      static_cast<double>(ops_completed - prev_ops_total_);
-  prev_ops_total_ = ops_completed;
+      static_cast<double>(ops_completed_ - prev_ops_total_);
+  prev_ops_total_ = ops_completed_;
 
   RlTimelinePoint point;
   point.window = timeline_.size();

@@ -11,10 +11,9 @@
 // when the workload changes.
 #pragma once
 
-#include "data/circular_buffer.h"
 #include "math/rng.h"
+#include "readahead/closed_loop.h"
 #include "readahead/features.h"
-#include "sim/stack.h"
 
 #include <cstdint>
 #include <vector>
@@ -62,7 +61,6 @@ class QLearningTuner {
   QLearningTuner(sim::StorageStack& stack, const RlConfig& config);
   QLearningTuner(sim::StorageStack& stack, const RlConfig& config,
                  Actuator actuate);
-  ~QLearningTuner();
 
   QLearningTuner(const QLearningTuner&) = delete;
   QLearningTuner& operator=(const QLearningTuner&) = delete;
@@ -86,25 +84,24 @@ class QLearningTuner {
   static int discretize(const FeatureVector& features);
 
  private:
-  void close_window(std::uint64_t ops_completed);
+  // The Q-update step, once per closed window.
+  void close_window(const std::vector<data::TraceRecord>& window);
   double& q_at(int state, int action);
 
   sim::StorageStack& stack_;
   RlConfig config_;
   Actuator actuate_;
-  data::CircularBuffer<data::TraceRecord> buffer_;
-  std::vector<data::TraceRecord> window_;
   FeatureExtractor extractor_;
   math::Rng rng_;
   std::vector<double> q_;
   std::vector<std::uint32_t> visits_;  // per (state, action) sample count
-  int hook_handle_;
-  std::uint64_t next_boundary_;
+  std::uint64_t ops_completed_ = 0;    // as of the current tick
   std::uint64_t prev_ops_total_ = 0;
   int prev_state_ = -1;
   int prev_action_ = -1;
   double epsilon_;
   std::vector<RlTimelinePoint> timeline_;
+  LiveCollection collection_;  // last: its hook goes first
 };
 
 // Closed-loop evaluation: vanilla vs the Q-learning agent (no pretrained

@@ -1,148 +1,31 @@
 #include "readahead/tuner.h"
 
 #include "observe/flight_recorder.h"
-#include "observe/metrics.h"
-#include "portability/kml_lib.h"
 #include "portability/log.h"
-
-#include <cstdio>
 
 namespace kml::readahead {
 
-// Per-class decision counter name ("readahead.decision.<workload>"); the
-// registry copies the name at registration, so the stack buffer is fine.
-void count_decision(int cls) {
-  if (cls < 0 || cls >= workloads::kNumTrainingClasses) return;
-  char name[48];
-  std::snprintf(name, sizeof(name), "readahead.decision.%s",
-                workloads::workload_name(
-                    static_cast<workloads::WorkloadType>(cls)));
-  observe::counter_add(name);
+const char* ReadaheadApp::class_name(int cls) {
+  if (cls < 0 || cls >= workloads::kNumTrainingClasses) return nullptr;
+  return workloads::workload_name(static_cast<workloads::WorkloadType>(cls));
 }
 
-ReadaheadTuner::ReadaheadTuner(sim::StorageStack& stack, PredictFn predict,
-                               const TunerConfig& config)
-    : stack_(stack),
-      predict_(std::move(predict)),
-      config_(config),
-      buffer_(config.buffer_capacity, config.buffer_shards),
-      next_boundary_(stack.clock().now_ns() + config.period_ns) {
-  // The data-collection hook: the inline, lock-free, FPU-free part of the
-  // loop. It only converts the tracepoint payload and pushes it.
-  hook_handle_ = stack_.tracepoints().register_hook(
-      [this](const sim::TraceEvent& ev) {
-        buffer_.push(data::TraceRecord{
-            ev.inode, ev.pgoff, ev.time_ns,
-            static_cast<std::uint8_t>(ev.type)});
-      },
-      sim::kKmlCollectionTracepoints);
+void ReadaheadApp::fall_back(runtime::HealthState state) {
+  stack_.block_layer().set_readahead_kb(config_.vanilla_ra_kb);
+  KML_WARN("tuner: health %s — reverting to vanilla readahead (%u KB)",
+           runtime::health_state_name(state), config_.vanilla_ra_kb);
 }
 
-ReadaheadTuner::~ReadaheadTuner() {
-  stack_.tracepoints().unregister(hook_handle_);
-}
-
-void ReadaheadTuner::on_tick(std::uint64_t now_ns) {
-  // Continuous drain — the role of the asynchronous training thread in a
-  // kernel deployment. Keeping up with the producer per tick is what lets
-  // a modest circular buffer survive hundreds of thousands of records per
-  // second without drops.
-  data::TraceRecord rec;
-  while (buffer_.pop(rec)) window_.push_back(rec);
-  buffer_.publish_metrics();
-
-  while (now_ns >= next_boundary_) {
-    close_window();
-    next_boundary_ += config_.period_ns;
-  }
-}
-
-bool ReadaheadTuner::health_allows_actuation() {
-  if (config_.health == nullptr) return true;
-  const runtime::HealthState state = config_.health->state();
-  if (state == runtime::HealthState::kHealthy) {
-    degraded_active_ = false;
-    return true;
-  }
-  // DEGRADED or FAILED: hold the vanilla setting. The revert is done once
-  // on entry so an operator (or test) poking the knob mid-degradation is
-  // not fought every window.
-  if (!degraded_active_) {
-    degraded_active_ = true;
-    stack_.block_layer().set_readahead_kb(config_.vanilla_ra_kb);
-    KML_WARN("tuner: health %s — reverting to vanilla readahead (%u KB)",
-             runtime::health_state_name(state), config_.vanilla_ra_kb);
-  }
-  return false;
-}
-
-void ReadaheadTuner::close_window() {
-  std::vector<data::TraceRecord> window;
-  window.swap(window_);
-
-  TimelinePoint point;
-  point.window = timeline_.size();
-  point.events = window.size();
-
-  observe::counter_add(observe::kMetricRaWindows);
-
-  if (!health_allows_actuation()) {
-    // Model quarantined: no inference, no CPU charge, vanilla readahead in
-    // force. The window's records are discarded (the extractor would only
-    // feed a model nobody trusts right now).
-    point.predicted_class = -1;
-    point.ra_kb = stack_.block_layer().readahead_kb();
-    point.degraded = true;
-    degraded_windows_ += 1;
-    observe::counter_add(observe::kMetricRaDegradedWindows);
-    timeline_.push_back(point);
-    return;
-  }
-
-  if (window.empty()) {
-    // Idle second: keep the current setting.
-    point.predicted_class = -1;
-    point.ra_kb = stack_.block_layer().readahead_kb();
-    timeline_.push_back(point);
-    return;
-  }
-
-  // Per-stage attribution (telemetry v3), same taxonomy as the fleet
-  // pipeline: coalesce = feature extraction over the window, infer = the
-  // model call, decide = actuation. Once-per-window clock reads on a cold
-  // path, by-name lookup like the counters above. Wall clock, not the
-  // simulator's virtual clock — this measures the tuner's own CPU cost.
-  const bool obs = observe::enabled();
-  const std::uint64_t t0 = obs ? kml_now_ns() : 0;
-  const FeatureVector features = extractor_.extract_selected(
-      window, stack_.block_layer().readahead_kb());
-  const std::uint64_t t1 = obs ? kml_now_ns() : 0;
-  int cls = -1;
-  if (config_.batch_predict) {
-    config_.batch_predict(&features, 1, &cls);
-  } else {
-    cls = predict_(features);
-  }
-  stack_.charge_cpu_ns(config_.inference_cpu_ns);
-  const std::uint64_t t2 = obs ? kml_now_ns() : 0;
-
-  std::uint32_t ra_kb = stack_.block_layer().readahead_kb();
-  if (cls >= 0 && cls < workloads::kNumTrainingClasses) {
-    ra_kb = config_.class_ra_kb[static_cast<std::size_t>(cls)];
-    stack_.block_layer().set_readahead_kb(ra_kb);
-    count_decision(cls);
-    observe::gauge_set(observe::kMetricRaSetKb, ra_kb);
-    KML_EVENT(observe::EventId::kTunerDecision,
-              static_cast<std::uint64_t>(cls), ra_kb);
-  }
-  if (obs) {
-    observe::hist_record(observe::kMetricRaStageCoalesceNs, t1 - t0);
-    observe::hist_record(observe::kMetricRaStageInferNs, t2 - t1);
-    observe::hist_record(observe::kMetricRaStageDecideNs, kml_now_ns() - t2);
-  }
+void ReadaheadApp::actuate(std::size_t, int cls, Point& point) {
   point.predicted_class = cls;
+  if (cls < 0 || cls >= workloads::kNumTrainingClasses) return;
+  const std::uint32_t ra_kb =
+      config_.class_ra_kb[static_cast<std::size_t>(cls)];
+  stack_.block_layer().set_readahead_kb(ra_kb);
+  observe::gauge_set(observe::kMetricRaSetKb, ra_kb);
+  KML_EVENT(observe::EventId::kTunerDecision, static_cast<std::uint64_t>(cls),
+            ra_kb);
   point.ra_kb = ra_kb;
-  timeline_.push_back(point);
 }
 
 }  // namespace kml::readahead

@@ -1,20 +1,14 @@
-// tuner.h — the closed loop of Figure 1: trace -> features -> inference ->
-// readahead actuation.
+// tuner.h — the readahead application of the closed loop (Figure 1).
 //
-// Execution flow per §3.3: (1) data-collection hooks on the memory-
-// management tracepoints push records into the lock-free circular buffer;
-// (2) once per second the records are windowed, processed, and normalized;
-// (3-4) the features go to the KML engine for inference; (5) the KML
-// application sets the new readahead size through the block layer, which
-// updates ra_pages in every open struct file. Changing readahead changes
-// future cache behaviour, which changes future features — the closed
-// circuit the paper describes.
+// The KML application sets the new readahead size through the block
+// layer, which updates ra_pages in every open struct file (§3.3 step 5).
+// The loop itself — collection, windowing, health latch, inference, stage
+// stamps, timeline — is readahead/closed_loop.h; this file supplies only
+// the extractor, the actuator and the vanilla fallback.
 #pragma once
 
-#include "data/sharded_buffer.h"
+#include "readahead/closed_loop.h"
 #include "readahead/features.h"
-#include "runtime/health.h"
-#include "sim/stack.h"
 #include "workloads/drivers.h"
 
 #include <array>
@@ -22,11 +16,6 @@
 #include <vector>
 
 namespace kml::readahead {
-
-// Bump the per-class decision counter ("readahead.decision.<workload>") in
-// the metrics registry; shared by the global and per-file tuners. Ignores
-// out-of-range classes.
-void count_decision(int cls);
 
 // Batched classifier: `count` raw (un-normalized) feature rows, contiguous
 // in memory, classified in one pass; class ids land in classes_out. The
@@ -45,12 +34,8 @@ struct TunerConfig {
       1024, 16, 1024, 32};
   std::uint64_t period_ns = sim::kNsPerSec;  // paper: inference once per sec
   std::size_t buffer_capacity = 1 << 16;
-  // Collection-ring shards (1 = classic single SPSC ring). Per-CPU
-  // collection hooks give each producer its own shard; the window drain
-  // aggregates across shards round-robin.
-  unsigned buffer_shards = 1;
-  // Inference cost charged to the virtual clock each window — the paper
-  // measures 21 us per inference.
+  // Inference cost charged to the virtual clock per classified row — the
+  // paper measures 21 us per inference.
   std::uint64_t inference_cpu_ns = 21'000;
   // Graceful degradation: while `health` reports DEGRADED or FAILED the
   // tuner stops actuating model predictions and pins the readahead back to
@@ -73,45 +58,47 @@ struct TimelinePoint {
   bool degraded = false;       // health guard held the vanilla fallback
 };
 
-class ReadaheadTuner {
+// Registry names of the readahead loops (global and per-file).
+inline constexpr LoopMetrics kReadaheadLoopMetrics{
+    observe::kMetricRaWindows, observe::kMetricRaDegradedWindows,
+    "readahead.decision", observe::kMetricRaStageCoalesceNs,
+    observe::kMetricRaStageInferNs, observe::kMetricRaStageDecideNs};
+
+// The global readahead knob: one feature row per window, one ra_kb.
+class ReadaheadApp {
  public:
-  // Classifier: raw (un-normalized) selected features -> class id.
-  using PredictFn = std::function<int(const FeatureVector&)>;
+  // Training class -> workload name; nullptr when out of range.
+  static const char* class_name(int cls);
 
-  ReadaheadTuner(sim::StorageStack& stack, PredictFn predict,
-                 const TunerConfig& config);
-  ~ReadaheadTuner();
+ protected:
+  using Features = FeatureVector;
+  using Config = TunerConfig;
+  using Point = TimelinePoint;
+  static constexpr std::uint32_t kTracepoints =
+      sim::kKmlCollectionTracepoints;
+  static constexpr LoopMetrics kMetrics = kReadaheadLoopMetrics;
 
-  ReadaheadTuner(const ReadaheadTuner&) = delete;
-  ReadaheadTuner& operator=(const ReadaheadTuner&) = delete;
+  ReadaheadApp(sim::StorageStack& stack, const TunerConfig& config)
+      : stack_(stack), config_(config) {}
 
-  // Drive from the workload's per-op tick; closes windows and actuates on
-  // every 1 s boundary crossed.
-  void on_tick(std::uint64_t now_ns);
-
-  const std::vector<TimelinePoint>& timeline() const { return timeline_; }
-  std::uint64_t dropped_records() const { return buffer_.dropped(); }
-  std::uint64_t windows() const { return timeline_.size(); }
-
-  // Windows spent in the vanilla fallback (health guard active) — the
-  // safety-net dwell time evaluate_closed_loop reports.
-  std::uint64_t degraded_windows() const { return degraded_windows_; }
-
- private:
-  void close_window();
-  bool health_allows_actuation();
+  void begin_window(Point& point) {
+    point.ra_kb = stack_.block_layer().readahead_kb();
+  }
+  void fall_back(runtime::HealthState state);
+  void featurize(const std::vector<data::TraceRecord>& window,
+                 std::vector<Features>& rows) {
+    rows.push_back(extractor_.extract_selected(
+        window, stack_.block_layer().readahead_kb()));
+  }
+  void actuate(std::size_t row, int cls, Point& point);
 
   sim::StorageStack& stack_;
-  PredictFn predict_;
   TunerConfig config_;
-  data::ShardedBuffer<data::TraceRecord> buffer_;
-  std::vector<data::TraceRecord> window_;  // drained records, current window
+
+ private:
   FeatureExtractor extractor_;
-  int hook_handle_;
-  std::uint64_t next_boundary_;
-  std::vector<TimelinePoint> timeline_;
-  std::uint64_t degraded_windows_ = 0;
-  bool degraded_active_ = false;  // vanilla fallback currently pinned
 };
+
+using ReadaheadTuner = ClosedLoopTuner<ReadaheadApp>;
 
 }  // namespace kml::readahead

@@ -92,6 +92,30 @@ TEST(PerFileTunerTest, SurvivesFileRemoval) {
   EXPECT_TRUE(tuner.last_window_decisions().empty());
 }
 
+TEST(PerFileTunerTest, ForgetsDeletedFiles) {
+  // Run files come and go with compaction and inode numbers are never
+  // reused: state kept for a deleted inode would only ever accumulate.
+  sim::StorageStack stack(make_stack_config(tiny_experiment()));
+  const std::uint64_t keeper = stack.files().create(100000).inode;
+  PerFileTuner tuner(stack, pattern_oracle, TunerConfig{},
+                     /*min_events=*/16);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const std::uint64_t run = stack.files().create(64).inode;
+    for (std::uint64_t p = 0; p < 32; ++p) {
+      stack.cache().read(stack.files().get(run), p, 1);
+    }
+    stack.cache().read(stack.files().get(keeper), i, 1);
+    stack.files().remove(run);
+    stack.charge_cpu_ns(sim::kNsPerSec / 10);
+    tuner.on_tick(stack.clock().now_ns());
+  }
+  tuner.on_tick(stack.clock().now_ns() + sim::kNsPerSec);
+
+  ASSERT_GE(tuner.windows(), 100u);
+  EXPECT_EQ(stack.files().count(), 1u);
+  EXPECT_EQ(tuner.tracked_files(), stack.files().count());
+}
+
 TEST(MixedTenants, PerFileDominatesGlobalOnBothMetrics) {
   // With a pattern oracle: vanilla < {global, per-file} on gets, and
   // per-file must not sacrifice the scanner the way a random-favouring

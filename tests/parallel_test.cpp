@@ -353,7 +353,7 @@ TEST(ShardedBuffer, SingleShardIsPlainFifo) {
   EXPECT_EQ(buf.size(), 5u);
   int v = -1;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(buf.pop(v));
+    ASSERT_EQ(buf.pop_many(&v, 1), 1u);
     EXPECT_EQ(v, i);
   }
   EXPECT_TRUE(buf.empty());

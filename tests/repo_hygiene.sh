@@ -102,5 +102,21 @@ if [ -n "$fleet_offenders" ]; then
   exit 1
 fi
 
+# Every windowed loop in src/ collects through one owner of hook
+# registration (TraceHook in src/readahead/closed_loop.h) and is cut into
+# windows by data::Windower. A register_hook( anywhere else in src/ is a
+# hand-rolled window loop coming back. The simulator owns the registry,
+# and the Markov baseline is a per-event prefetcher, not a windowed loop.
+hook_offenders=$(git ls-files src | grep -E '\.(cpp|h)$' |
+  grep -v -e '^src/sim/' -e '^src/baselines/markov\.cpp$' \
+    -e '^src/readahead/closed_loop\.h$' |
+  xargs grep -l -F 'register_hook(' 2>/dev/null)
+if [ -n "$hook_offenders" ]; then
+  echo "repo_hygiene: tracepoint hooks registered outside the collection owner:"
+  echo "$hook_offenders" | head -20
+  echo "repo_hygiene: collect through readahead::TraceHook into a data::Windower"
+  exit 1
+fi
+
 echo "repo_hygiene: clean"
 exit 0
