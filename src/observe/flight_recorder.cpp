@@ -40,8 +40,7 @@ const char* event_name(EventId id) {
     case EventId::kCachePolicySwitch: return "cache.policy_switch";
     case EventId::kFleetAdmit: return "fleet.admit";
     case EventId::kFleetShed: return "fleet.shed";
-    case EventId::kFleetOverload: return "fleet.overload";
-    case EventId::kSloBurn: return "slo.burn";
+    case EventId::kHealthTrip: return "health.trip";
     case EventId::kEventIdCount: break;
   }
   return "unknown";

@@ -61,8 +61,7 @@ enum class EventId : std::uint16_t {
   kCachePolicySwitch,      // a0=new EvictionPolicyType, a1=old
   kFleetAdmit,             // a0=tenant id, a1=active tenants after admit
   kFleetShed,              // a0=tenant id, a1=that tenant's window count
-  kFleetOverload,          // a0=queue depth, a1=decision p99 (ns)
-  kSloBurn,                // a0=SLO objective index, a1=fast burn (milli)
+  kHealthTrip,             // a0=runtime::HealthRule index, a1=observed value
   kEventIdCount,
 };
 

@@ -13,7 +13,7 @@
 //
 // Consumers: the health guard's signal (k) polls slo_evaluate over every
 // registered objective and degrades when enough burn simultaneously
-// (emitting kSloBurn flight events first, preserving the causal chain);
+// (its health.trip flight event first, preserving the causal chain);
 // tools/tests read SloStatus directly. Registration is cold and bounded
 // (kMaxSloObjectives, fixed storage, name copied in). With KML_OBSERVE=OFF
 // everything is an inline no-op stub.

@@ -1,12 +1,13 @@
 #include "runtime/health.h"
 
 #include "observe/flight_recorder.h"
-#include "observe/metrics.h"
 #include "observe/slo.h"
 #include "observe/timeseries.h"
 #include "portability/log.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 namespace kml::runtime {
 
@@ -19,6 +20,99 @@ inline void emit_transition(HealthState from, HealthState to) {
   KML_EVENT(observe::EventId::kHealthTransition,
             static_cast<std::uint64_t>(from), static_cast<std::uint64_t>(to));
 }
+
+// How a rule reduces its window to one observed value, and which side of
+// the threshold is sick. All integer: the registry path keeps no double.
+enum class Reduce : std::uint8_t {
+  kShareAbove,  // source 0's share of the window, milli; sick above
+  kShareBelow,  // the same share; sick below
+  kP99,         // p99 of the histogram records in the window; sick above
+  kGauge,       // the gauge at judgement; sick above
+  kAdvance,     // the window itself, sources summed; sick at or above
+  kSloBurning,  // objectives burning at judgement; sick at or above
+};
+
+// A row's window is the summed advance of its progress sources since it
+// was last judged: its counters, or (kP99) its histogram's buckets, or
+// (kSloBurning) the time-series sample count.
+struct Rule {
+  Reduce reduce;
+  const char* metric;     // the gauge or histogram judged
+  const char* source[2];  // progress counters; (g) counts with a gauge
+  std::uint64_t HealthConfig::*threshold;   // 0 disables the row
+  std::uint64_t HealthConfig::*min_window;  // nullptr: any progress
+  std::uint64_t HealthStats::*trips;
+};
+
+// Rows in HealthRule order. Why each signal exists is on its HealthConfig
+// field; DESIGN §7 tabulates them.
+constexpr Rule kRules[] = {
+    {Reduce::kShareAbove, nullptr,  // (d)
+     {observe::kMetricBufferDrop, observe::kMetricBufferPush},
+     &HealthConfig::drop_rate_degrade_milli,
+     &HealthConfig::drop_window_min_records, &HealthStats::drop_rate_trips},
+    {Reduce::kP99, observe::kMetricInferenceNs, {},  // (e)
+     &HealthConfig::inference_p99_degrade_ns, nullptr,
+     &HealthStats::latency_trips},
+    {Reduce::kGauge, observe::kMetricGradNormMilli,  // (f)
+     {observe::kMetricTrainSteps}, &HealthConfig::grad_norm_degrade_milli,
+     nullptr, &HealthStats::grad_trips},
+    {Reduce::kGauge, observe::kMetricDriftZMilli,  // (g)
+     {observe::kMetricDriftSamples}, &HealthConfig::drift_z_degrade_milli,
+     nullptr, &HealthStats::drift_trips},
+    {Reduce::kAdvance, nullptr,  // (h)
+     {observe::kMetricKvRecoveries, observe::kMetricKvTornManifests},
+     &HealthConfig::kv_recoveries_to_degrade, nullptr,
+     &HealthStats::kv_recovery_trips},
+    {Reduce::kShareBelow, nullptr,  // (i)
+     {observe::kMetricCacheHit, observe::kMetricCacheMiss},
+     &HealthConfig::cache_hit_rate_degrade_milli,
+     &HealthConfig::cache_min_accesses, &HealthStats::cache_trips},
+    {Reduce::kGauge, observe::kMetricFleetQueueDepth,  // (j) backlog
+     {observe::kMetricFleetWindows}, &HealthConfig::fleet_queue_depth_degrade,
+     nullptr, &HealthStats::fleet_trips},
+    {Reduce::kP99, observe::kMetricFleetDecisionNs, {},  // (j) latency
+     &HealthConfig::fleet_decision_p99_degrade_ns, nullptr,
+     &HealthStats::fleet_trips},
+    {Reduce::kSloBurning, nullptr, {},  // (k)
+     &HealthConfig::slo_burning_to_degrade, nullptr, &HealthStats::slo_trips},
+};
+static_assert(std::size(kRules) ==
+              static_cast<std::size_t>(HealthRule::kCount));
+
+#if KML_OBSERVE_ENABLED
+std::uint64_t gauge_value(const char* name) {
+  const observe::Gauge* g = observe::find_gauge(name);
+  const std::int64_t v = g != nullptr ? g->value() : 0;
+  return v > 0 ? static_cast<std::uint64_t>(v) : 0;
+}
+
+// Reads `rule`'s progress sources into `reading`; returns how many.
+std::size_t read_sources(const Rule& rule, std::uint64_t* reading) {
+  if (rule.reduce == Reduce::kP99) {
+    const observe::Histogram* h = observe::find_histogram(rule.metric);
+    for (unsigned b = 0; b < observe::Histogram::kNumBuckets; ++b) {
+      reading[b] = h != nullptr ? h->bucket_count(b) : 0;
+    }
+    return observe::Histogram::kNumBuckets;
+  }
+  if (rule.reduce == Reduce::kSloBurning) {
+    reading[0] = observe::timeseries_samples();
+    return 1;
+  }
+  for (std::size_t k = 0; k < 2; ++k) {
+    reading[k] = 0;
+    const char* name = rule.source[k];
+    if (name == nullptr) continue;
+    if (const observe::Counter* c = observe::find_counter(name)) {
+      reading[k] = c->value();
+    } else if (rule.reduce == Reduce::kGauge) {
+      reading[k] = gauge_value(name);  // (g) counts samples in a gauge
+    }
+  }
+  return 2;
+}
+#endif  // KML_OBSERVE_ENABLED
 
 }  // namespace
 
@@ -147,263 +241,98 @@ bool HealthMonitor::check_watchdog(std::uint64_t now_ns) {
 void HealthMonitor::observe_buffer(std::uint64_t submitted_total,
                                    std::uint64_t dropped_total) {
   std::lock_guard<std::mutex> guard(lock_);
-  // Delta since the previous observation, tolerating counter resets.
-  if (submitted_total < last_submitted_ || dropped_total < last_dropped_) {
-    last_submitted_ = submitted_total;
-    last_dropped_ = dropped_total;
-    return;
-  }
-  const std::uint64_t submitted = submitted_total - last_submitted_;
-  const std::uint64_t dropped = dropped_total - last_dropped_;
-  if (submitted < config_.drop_window_min_records) return;  // window too small
-  last_submitted_ = submitted_total;
-  last_dropped_ = dropped_total;
-  const double rate =
-      static_cast<double>(dropped) / static_cast<double>(submitted);
-  if (rate > config_.drop_rate_threshold) {
-    stats_.drop_rate_trips += 1;
-    enter_degraded();
-  }
+  const std::uint64_t pushed =
+      submitted_total - std::min(submitted_total, dropped_total);
+  std::uint64_t reading[2] = {dropped_total, pushed};  // (d)'s sources
+  judge(HealthRule::kDropShare, windows_.buffer_base, reading, 2);
 }
 
 void HealthMonitor::observe_registry() {
 #if KML_OBSERVE_ENABLED
-  // Read the registry outside the lock (all relaxed atomic reads).
-  observe::Counter* push = observe::find_counter(observe::kMetricBufferPush);
-  observe::Counter* drop = observe::find_counter(observe::kMetricBufferDrop);
-  const std::uint64_t pushed = push != nullptr ? push->value() : 0;
-  const std::uint64_t dropped = drop != nullptr ? drop->value() : 0;
-  const std::uint64_t submitted = pushed + dropped;
-  std::uint64_t inferences = 0;
-  std::uint64_t p99 = 0;
-  if (config_.inference_p99_degrade_ns > 0) {
-    if (observe::Histogram* h =
-            observe::find_histogram(observe::kMetricInferenceNs)) {
-      inferences = h->count();
-      p99 = h->percentile(99);
-    }
-  }
-  std::uint64_t train_steps = 0;
-  std::int64_t grad_norm_milli = 0;
-  if (config_.grad_norm_degrade_milli > 0) {
-    if (observe::Counter* c = observe::find_counter(observe::kMetricTrainSteps))
-      train_steps = c->value();
-    if (observe::Gauge* g = observe::find_gauge(observe::kMetricGradNormMilli))
-      grad_norm_milli = g->value();
-  }
-  std::uint64_t drift_samples = 0;
-  std::int64_t drift_z_milli = 0;
-  if (config_.drift_z_degrade_milli > 0) {
-    if (observe::Gauge* g = observe::find_gauge(observe::kMetricDriftSamples))
-      drift_samples = static_cast<std::uint64_t>(g->value());
-    if (observe::Gauge* g = observe::find_gauge(observe::kMetricDriftZMilli))
-      drift_z_milli = g->value();
-  }
-  std::uint64_t kv_recoveries = 0;
-  std::uint64_t kv_torn = 0;
-  if (config_.kv_recoveries_to_degrade > 0) {
-    if (observe::Counter* c = observe::find_counter(observe::kMetricKvRecoveries))
-      kv_recoveries = c->value();
-    if (observe::Counter* c =
-            observe::find_counter(observe::kMetricKvTornManifests))
-      kv_torn = c->value();
-  }
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  if (config_.cache_hit_rate_degrade_milli > 0) {
-    if (observe::Counter* c = observe::find_counter(observe::kMetricCacheHit))
-      cache_hits = c->value();
-    if (observe::Counter* c = observe::find_counter(observe::kMetricCacheMiss))
-      cache_misses = c->value();
-  }
-  std::uint64_t fleet_windows = 0;
-  std::uint64_t fleet_depth = 0;
-  std::uint64_t fleet_p99 = 0;
-  if (config_.fleet_queue_depth_degrade > 0 ||
-      config_.fleet_decision_p99_degrade_ns > 0) {
-    if (observe::Counter* c =
-            observe::find_counter(observe::kMetricFleetWindows))
-      fleet_windows = c->value();
-    if (observe::Gauge* g =
-            observe::find_gauge(observe::kMetricFleetQueueDepth)) {
-      const std::int64_t v = g->value();
-      fleet_depth = v > 0 ? static_cast<std::uint64_t>(v) : 0;
-    }
-    if (config_.fleet_decision_p99_degrade_ns > 0) {
-      if (observe::Histogram* h =
-              observe::find_histogram(observe::kMetricFleetDecisionNs))
-        fleet_p99 = h->percentile(99);
-    }
-  }
-  std::uint64_t slo_samples = 0;
-  std::uint32_t slo_burning = 0;
-  std::uint64_t slo_worst_idx = 0;
-  std::uint64_t slo_worst_burn = 0;
-  if (config_.slo_burning_to_degrade > 0) {
-    slo_samples = observe::timeseries_samples();
-    const std::size_t n = observe::slo_count();
-    for (std::size_t i = 0; i < n; ++i) {
-      const observe::SloStatus st = observe::slo_evaluate(i);
-      if (!st.burning) continue;
-      slo_burning += 1;
-      if (st.fast_burn_milli >= slo_worst_burn) {
-        slo_worst_burn = st.fast_burn_milli;
-        slo_worst_idx = i;
-      }
-    }
-  }
-
+  // Read under the lock: with two pollers (the trainer thread, a fleet
+  // host), a reading taken before the other's judgement would sit below the
+  // moved baseline and pass as a registry reset.
   std::lock_guard<std::mutex> guard(lock_);
-  if (!registry_primed_) {
-    registry_primed_ = true;
-    registry_last_submitted_ = submitted;
-    registry_last_dropped_ = dropped;
-    registry_last_inferences_ = inferences;
-    registry_last_train_steps_ = train_steps;
-    registry_last_drift_samples_ = drift_samples;
-    registry_last_kv_recoveries_ = kv_recoveries;
-    registry_last_kv_torn_ = kv_torn;
-    registry_last_cache_hits_ = cache_hits;
-    registry_last_cache_misses_ = cache_misses;
-    registry_last_fleet_windows_ = fleet_windows;
-    registry_last_slo_samples_ = slo_samples;
-    return;
+  std::uint64_t reading[observe::Histogram::kNumBuckets];
+  std::size_t p99_rows = 0;
+  for (std::size_t i = 0; i < std::size(kRules); ++i) {
+    const Rule& rule = kRules[i];
+    std::uint64_t* base = rule.reduce == Reduce::kP99
+                              ? windows_.p99_base[p99_rows++]
+                              : windows_.base[i];
+    if (config_.*rule.threshold == 0) continue;
+    const std::size_t n = read_sources(rule, reading);
+    if (!windows_.primed) std::copy_n(reading, n, base);  // an empty window
+    judge(static_cast<HealthRule>(i), base, reading, n);
   }
-
-  // (d) drop rate over the delta window, tolerating registry resets.
-  if (submitted < registry_last_submitted_ ||
-      dropped < registry_last_dropped_) {
-    registry_last_submitted_ = submitted;
-    registry_last_dropped_ = dropped;
-  } else if (submitted - registry_last_submitted_ >=
-             config_.drop_window_min_records) {
-    const std::uint64_t sub_delta = submitted - registry_last_submitted_;
-    const std::uint64_t drop_delta = dropped - registry_last_dropped_;
-    registry_last_submitted_ = submitted;
-    registry_last_dropped_ = dropped;
-    const double rate =
-        static_cast<double>(drop_delta) / static_cast<double>(sub_delta);
-    if (rate > config_.drop_rate_threshold) {
-      stats_.drop_rate_trips += 1;
-      enter_degraded();
-    }
-  }
-
-  // (e) inference p99. The histogram is cumulative, so only judge while
-  // inferences are actually flowing (count advanced since the last poll) —
-  // a quiesced model cannot trip the guard on stale history alone.
-  if (config_.inference_p99_degrade_ns > 0 &&
-      inferences > registry_last_inferences_) {
-    registry_last_inferences_ = inferences;
-    if (p99 > config_.inference_p99_degrade_ns) {
-      stats_.latency_trips += 1;
-      enter_degraded();
-    }
-  }
-
-  // (f) gradient explosion. Gauge = worst per-layer gradient L2-norm of the
-  // most recent step; only judged while training actually progresses.
-  if (config_.grad_norm_degrade_milli > 0 &&
-      train_steps > registry_last_train_steps_) {
-    registry_last_train_steps_ = train_steps;
-    if (grad_norm_milli > 0 &&
-        static_cast<std::uint64_t>(grad_norm_milli) >
-            config_.grad_norm_degrade_milli) {
-      stats_.grad_trips += 1;
-      enter_degraded();
-    }
-  }
-
-  // (g) input drift. Gauge = max per-feature |z| of the live input mean vs
-  // the training baseline; only judged while inference traffic flows.
-  if (config_.drift_z_degrade_milli > 0 &&
-      drift_samples > registry_last_drift_samples_) {
-    registry_last_drift_samples_ = drift_samples;
-    if (drift_z_milli > 0 && static_cast<std::uint64_t>(drift_z_milli) >
-                                 config_.drift_z_degrade_milli) {
-      stats_.drift_trips += 1;
-      enter_degraded();
-    }
-  }
-
-  // (h) KV recovery. Counters, not gauges, so no progress companion is
-  // needed: any advance IS the event. A recovered (or torn-manifest-
-  // rejected) store means the data the model reads was rebuilt underneath
-  // it — probation until a clean streak proves the predictions still hold.
-  if (config_.kv_recoveries_to_degrade > 0) {
-    std::uint64_t events = 0;
-    if (kv_recoveries >= registry_last_kv_recoveries_) {
-      events += kv_recoveries - registry_last_kv_recoveries_;
-    }
-    if (kv_torn >= registry_last_kv_torn_) {
-      events += kv_torn - registry_last_kv_torn_;
-    }
-    registry_last_kv_recoveries_ = kv_recoveries;
-    registry_last_kv_torn_ = kv_torn;
-    if (events >= config_.kv_recoveries_to_degrade) {
-      stats_.kv_recovery_trips += 1;
-      enter_degraded();
-    }
-  }
-
-  // (i) cache hit-rate collapse over the delta window, tolerating registry
-  // resets like (d). Integer-only rate comparison: hit-rate(milli) < floor
-  // <=> hits * 1000 < floor * accesses.
-  if (config_.cache_hit_rate_degrade_milli > 0) {
-    if (cache_hits < registry_last_cache_hits_ ||
-        cache_misses < registry_last_cache_misses_) {
-      registry_last_cache_hits_ = cache_hits;
-      registry_last_cache_misses_ = cache_misses;
-    } else {
-      const std::uint64_t hit_delta = cache_hits - registry_last_cache_hits_;
-      const std::uint64_t miss_delta =
-          cache_misses - registry_last_cache_misses_;
-      const std::uint64_t accesses = hit_delta + miss_delta;
-      if (accesses >= config_.cache_min_accesses) {
-        registry_last_cache_hits_ = cache_hits;
-        registry_last_cache_misses_ = cache_misses;
-        if (hit_delta * 1000 <
-            config_.cache_hit_rate_degrade_milli * accesses) {
-          stats_.cache_trips += 1;
-          enter_degraded();
-        }
-      }
-    }
-  }
-
-  // (j) fleet collapse. The queue-depth gauge is instantaneous (post-drain
-  // backlog) and the decision histogram cumulative, so both are judged only
-  // while fleet windows are actually being decided — an idle or quiesced
-  // fleet cannot trip on stale history.
-  if ((config_.fleet_queue_depth_degrade > 0 ||
-       config_.fleet_decision_p99_degrade_ns > 0) &&
-      fleet_windows > registry_last_fleet_windows_) {
-    registry_last_fleet_windows_ = fleet_windows;
-    const bool depth_collapse = config_.fleet_queue_depth_degrade > 0 &&
-                                fleet_depth > config_.fleet_queue_depth_degrade;
-    const bool latency_collapse =
-        config_.fleet_decision_p99_degrade_ns > 0 &&
-        fleet_p99 > config_.fleet_decision_p99_degrade_ns;
-    if (depth_collapse || latency_collapse) {
-      stats_.fleet_trips += 1;
-      KML_EVENT(observe::EventId::kFleetOverload, fleet_depth, fleet_p99);
-      enter_degraded();
-    }
-  }
-
-  // (k) SLO burn rate. Judged only while the time-series sampler advances:
-  // the burn windows are windows over the ring, and without a fresh sample
-  // this poll would re-judge exactly the history the previous poll saw.
-  if (config_.slo_burning_to_degrade > 0 &&
-      slo_samples > registry_last_slo_samples_) {
-    registry_last_slo_samples_ = slo_samples;
-    if (slo_burning >= config_.slo_burning_to_degrade) {
-      stats_.slo_trips += 1;
-      KML_EVENT(observe::EventId::kSloBurn, slo_worst_idx, slo_worst_burn);
-      enter_degraded();
-    }
-  }
+  windows_.primed = true;
 #endif  // KML_OBSERVE_ENABLED
+}
+
+void HealthMonitor::judge(HealthRule id, std::uint64_t* base,
+                          std::uint64_t* reading, std::size_t n) {
+  const Rule& rule = kRules[static_cast<std::size_t>(id)];
+  const std::uint64_t threshold = config_.*rule.threshold;
+  if (threshold == 0) return;
+  // The time-series sampler's rule: a reading below its baseline means the
+  // registry was reset, so that source's window restarts from zero.
+  std::uint64_t progress = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (reading[k] < base[k]) base[k] = 0;
+    reading[k] -= base[k];  // now the window
+    progress += reading[k];
+  }
+  const std::uint64_t min_window =
+      rule.min_window != nullptr ? config_.*rule.min_window : 1;
+  if (progress == 0 || progress < min_window) return;
+  for (std::size_t k = 0; k < n; ++k) base[k] += reading[k];
+
+  const std::uint64_t share = reading[0] * 1000;
+  std::uint64_t observed = 0;
+  bool sick = false;
+  switch (rule.reduce) {
+    case Reduce::kShareAbove:
+    case Reduce::kShareBelow:
+      // Cross-multiplied, so the comparison is exact: share(milli) > t
+      // <=> part * 1000 > t * window.
+      observed = share / progress;
+      sick = rule.reduce == Reduce::kShareAbove ? share > threshold * progress
+                                                : share < threshold * progress;
+      break;
+    case Reduce::kAdvance:
+      observed = progress;
+      sick = observed >= threshold;
+      break;
+#if KML_OBSERVE_ENABLED
+    case Reduce::kP99:
+      observed = observe::Histogram::percentile_from_counts(reading, 99);
+      sick = observed > threshold;
+      break;
+    case Reduce::kGauge:
+      observed = gauge_value(rule.metric);
+      sick = observed > threshold;
+      break;
+    case Reduce::kSloBurning:
+      for (std::size_t i = 0; i < observe::slo_count(); ++i) {
+        observed += observe::slo_evaluate(i).burning ? 1 : 0;
+      }
+      sick = observed >= threshold;
+      break;
+#else
+    default:  // registry-only reductions; no registry when compiled out
+      break;
+#endif
+  }
+  if (sick) trip(id, observed);
+}
+
+// `observed` is unused when KML_OBSERVE=OFF compiles the event away.
+void HealthMonitor::trip(HealthRule id,
+                         [[maybe_unused]] std::uint64_t observed) {
+  stats_.*kRules[static_cast<std::size_t>(id)].trips += 1;
+  KML_EVENT(observe::EventId::kHealthTrip, static_cast<std::uint64_t>(id),
+            observed);
+  enter_degraded();
 }
 
 void HealthMonitor::notify_rollback() {
@@ -426,20 +355,7 @@ void HealthMonitor::reset() {
   ewma_primed_ = false;
   heartbeat_seen_ = false;
   last_heartbeat_ns_.store(0, std::memory_order_release);
-  last_submitted_ = 0;
-  last_dropped_ = 0;
-  registry_primed_ = false;
-  registry_last_submitted_ = 0;
-  registry_last_dropped_ = 0;
-  registry_last_inferences_ = 0;
-  registry_last_train_steps_ = 0;
-  registry_last_drift_samples_ = 0;
-  registry_last_kv_recoveries_ = 0;
-  registry_last_kv_torn_ = 0;
-  registry_last_cache_hits_ = 0;
-  registry_last_cache_misses_ = 0;
-  registry_last_fleet_windows_ = 0;
-  registry_last_slo_samples_ = 0;
+  windows_ = RuleWindows{};
   // New model deployed: resume flight recording for its first incident.
   observe::flight_thaw();
 }

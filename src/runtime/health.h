@@ -20,14 +20,21 @@
 //   (a) non-finite loss/weights after Engine::train_batch  -> FAILED
 //   (b) EWMA loss-divergence strikes                       -> DEGRADED/FAILED
 //   (c) training-thread heartbeat watchdog                 -> DEGRADED
-//   (d) circular-buffer drop-rate over threshold           -> DEGRADED
+//   (d)-(k) registry-sourced rules, one HealthRule each    -> DEGRADED
+//
+// (d)-(k) are rows of one rule table (health.cpp). Each row judges only the
+// window since its last judgement, never a lifetime aggregate, and every
+// trip records a health.trip flight event ahead of the transition.
 //
 // Thread model: one writer per signal is fine (trainer thread feeds (a)-(c),
-// the tuner thread feeds (d)); all mutations serialize on an internal mutex,
+// a poller feeds (d)-(k)); all mutations serialize on an internal mutex,
 // while state() is a lock-free atomic read safe from the I/O path.
 #pragma once
 
+#include "observe/metrics.h"
+
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 
@@ -36,6 +43,21 @@ namespace kml::runtime {
 enum class HealthState : int { kHealthy = 0, kDegraded = 1, kFailed = 2 };
 
 const char* health_state_name(HealthState state);
+
+// Rows of the registry rule table, in table order. A health.trip flight
+// event carries the row's index as a0 and its observed value as a1.
+enum class HealthRule : std::uint8_t {
+  kDropShare = 0,     // (d) dropped share of submissions, milli
+  kInferenceP99,      // (e) inference latency p99, ns
+  kGradNorm,          // (f) worst per-layer gradient norm, milli
+  kDrift,             // (g) max input |z|, milli
+  kKvRecovery,        // (h) KV recoveries + torn-manifest rejections
+  kCacheHitShare,     // (i) page-cache hit share, milli
+  kFleetQueueDepth,   // (j) fleet post-drain backlog
+  kFleetDecisionP99,  // (j) fleet submit->decision p99, ns
+  kSloBurning,        // (k) SLO objectives burning
+  kCount,
+};
 
 struct HealthConfig {
   // (b) EWMA loss divergence: a step whose loss exceeds ratio x the EWMA
@@ -54,16 +76,16 @@ struct HealthConfig {
   // drive any clock.
   std::uint64_t heartbeat_timeout_ns = 2'000'000'000;
 
-  // (d) Drop-rate guard: fraction of submitted records dropped, judged over
-  // windows of at least `drop_window_min_records` submissions.
-  double drop_rate_threshold = 0.5;
+  // (d) Drop-rate guard: share of submitted records dropped (milli), judged
+  // over windows of at least `drop_window_min_records` submissions; 0 disables.
+  std::uint64_t drop_rate_degrade_milli = 500;
   std::uint64_t drop_window_min_records = 1024;
 
   // (e) Inference-latency guard (registry-sourced): if the p99 of the
-  // "runtime.inference_ns" histogram exceeds this while inferences are
-  // flowing, the model is too slow for the I/O path and the tuner should
-  // fall back. 0 disables the signal (the threshold is deployment-
-  // specific; the paper's budget is ~21 us on their hardware).
+  // "runtime.inference_ns" records since the last judgement exceeds this,
+  // the model is too slow for the I/O path and the tuner should fall back.
+  // 0 disables the signal (the threshold is deployment-specific; the
+  // paper's budget is ~21 us on their hardware).
   std::uint64_t inference_p99_degrade_ns = 0;
 
   // (f) Gradient-explosion guard (registry-sourced): worst per-layer
@@ -86,7 +108,7 @@ struct HealthConfig {
   // have jumped (cold cache, replayed tail), so predictions go on
   // probation. Trips DEGRADED when the "kv.recoveries" counter (or a
   // "kv.torn_manifests_rejected" rejection, which is strictly worse)
-  // advances by at least this much between polls. 0 disables.
+  // advances by at least this much in one judged window. 0 disables.
   std::uint64_t kv_recoveries_to_degrade = 1;
 
   // (i) Cache hit-rate collapse guard (registry-sourced): the eviction
@@ -101,10 +123,10 @@ struct HealthConfig {
 
   // (j) Fleet-collapse guard (registry-sourced): the tenant-sharded
   // inference service is drowning — either the post-drain backlog
-  // ("fleet.queue_depth" gauge) stays above the depth threshold or the
-  // submit→decision p99 ("fleet.decision_ns" histogram) exceeds the latency
-  // budget. Judged only while the "fleet.windows" counter advances (an idle
-  // fleet cannot trip on stale history). The fleet service reacts to the
+  // ("fleet.queue_depth" gauge) stays above the depth threshold while the
+  // "fleet.windows" counter advances (an idle fleet cannot trip on stale
+  // history), or the submit→decision p99 of the latest "fleet.decision_ns"
+  // records exceeds the latency budget. The fleet service reacts to the
   // DEGRADED state by refusing new admissions and shedding its
   // lowest-traffic tenants first. 0 disables each sub-signal independently.
   std::uint64_t fleet_queue_depth_degrade = 0;
@@ -115,10 +137,9 @@ struct HealthConfig {
   // (observe/slo.h) are simultaneously burning — fast AND slow burn windows
   // both over their trip rates with enough records to trust. Judged only
   // while the time-series sampler advances (the burn windows are ring
-  // windows; without fresh samples the verdict would be stale history). A
-  // kSloBurn flight event for the worst-burning objective precedes the
-  // transition, preserving the causal chain. 0 disables.
-  std::uint32_t slo_burning_to_degrade = 0;
+  // windows; without fresh samples the verdict would be stale history).
+  // 0 disables.
+  std::uint64_t slo_burning_to_degrade = 0;
 
   // Flight-recorder dump file prefix (writes <prefix>.bin/<prefix>.txt when
   // the recorder freezes on a bad transition). nullptr = freeze only, no
@@ -169,21 +190,20 @@ class HealthMonitor {
   // the first heartbeat (a not-yet-started trainer is not a stalled one).
   bool check_watchdog(std::uint64_t now_ns);
 
-  // (d): cumulative producer counters (monotonic), e.g. from
-  // TrainingThread::processed()+dropped() and ::dropped().
+  // (d) from cumulative producer counters (monotonic), e.g. from
+  // TrainingThread::processed()+dropped() and ::dropped(). Judged through
+  // the same rule as the registry's drop share, with its own window.
   void observe_buffer(std::uint64_t submitted_total,
                       std::uint64_t dropped_total);
 
-  // (d)+(e)+(f)+(g) from the metrics registry — the single source of truth
-  // when the observe layer is compiled in and recording. Reads the global
-  // buffer push/drop counters for the drop-rate guard, the inference-latency
-  // histogram p99 for the latency guard, the gradient-norm gauge for the
-  // explosion guard, and the drift gauges for the covariate-shift guard. The
-  // first call only primes the baselines (registry counters are
-  // process-global and may predate this monitor); deltas are judged from the
-  // second call on, and each gauge is judged only while its companion
-  // progress counter advances (a quiesced model cannot trip on stale
-  // history). No-op with KML_OBSERVE=OFF (the registry is empty).
+  // (d)-(k) from the metrics registry — the single source of truth when the
+  // observe layer is compiled in and recording. The first call only primes
+  // the baselines (registry counters are process-global and may predate
+  // this monitor). From the second call on, each enabled rule judges the
+  // window since its last judgement once the window's progress reaches the
+  // rule's minimum; a gauge is judged only while its companion progress
+  // counter advances (a quiesced model cannot trip on stale history). No-op
+  // with KML_OBSERVE=OFF (the registry is empty).
   void observe_registry();
 
   // The engine restored its last-known-good checkpoint: FAILED drops to
@@ -208,6 +228,13 @@ class HealthMonitor {
   void enter_healthy();
   // Freeze the flight recorder (idempotent) and dump if configured.
   void freeze_flight();
+  // Both require lock_. judge() turns `reading` (n sources) into the window
+  // since `base` and, once that spans the rule's minimum, moves the baseline
+  // and judges it. trip() is the one trip path: the rule's stats field, a
+  // health.trip flight event, then DEGRADED.
+  void judge(HealthRule rule, std::uint64_t* base, std::uint64_t* reading,
+             std::size_t n);
+  void trip(HealthRule rule, std::uint64_t observed);
 
   HealthConfig config_;
   std::atomic<int> state_{static_cast<int>(HealthState::kHealthy)};
@@ -218,22 +245,19 @@ class HealthMonitor {
   bool ewma_primed_ = false;
   std::atomic<std::uint64_t> last_heartbeat_ns_{0};
   bool heartbeat_seen_ = false;
-  std::uint64_t last_submitted_ = 0;
-  std::uint64_t last_dropped_ = 0;
-  // Registry-path baselines, separate from the observe_buffer() ones so a
-  // deployment mixing both sources cannot corrupt either delta stream.
-  bool registry_primed_ = false;
-  std::uint64_t registry_last_submitted_ = 0;
-  std::uint64_t registry_last_dropped_ = 0;
-  std::uint64_t registry_last_inferences_ = 0;
-  std::uint64_t registry_last_train_steps_ = 0;
-  std::uint64_t registry_last_drift_samples_ = 0;
-  std::uint64_t registry_last_kv_recoveries_ = 0;
-  std::uint64_t registry_last_kv_torn_ = 0;
-  std::uint64_t registry_last_cache_hits_ = 0;
-  std::uint64_t registry_last_cache_misses_ = 0;
-  std::uint64_t registry_last_fleet_windows_ = 0;
-  std::uint64_t registry_last_slo_samples_ = 0;
+  // Each rule-table row's progress sources as read at its last judgement;
+  // the windowed-p99 rows, (e) and (j), keep whole bucket baselines. The
+  // buffer window is observe_buffer()'s own, so a deployment mixing both
+  // sources cannot corrupt either delta stream.
+  struct RuleWindows {
+    std::uint64_t base[static_cast<std::size_t>(HealthRule::kCount)][2] = {};
+#if KML_OBSERVE_ENABLED
+    std::uint64_t p99_base[2][observe::Histogram::kNumBuckets] = {};
+#endif
+    std::uint64_t buffer_base[2] = {};
+    bool primed = false;  // the registry's first reading is taken
+  };
+  RuleWindows windows_;
 };
 
 }  // namespace kml::runtime

@@ -318,7 +318,7 @@ TEST(FleetService, HealthFleetSignalTripsOnQueueCollapse) {
 TEST(FleetService, SloBurnTripsHealthGuardWithFlightChain) {
   // End-to-end continuous-telemetry chain, deterministic: fleet stage
   // histograms -> time-series windows -> SLO burn evaluation -> health
-  // signal (k) -> kSloBurn + health.transition in the flight dump.
+  // signal (k) -> health.trip + health.transition in the flight dump.
   observe::reset_all();
   observe::timeseries_reset();
   observe::slo_reset();
@@ -388,7 +388,7 @@ TEST(FleetService, SloBurnTripsHealthGuardWithFlightChain) {
   std::stringstream ss;
   ss << txt.rdbuf();
   const std::string dump = ss.str();
-  EXPECT_NE(dump.find("slo.burn"), std::string::npos);
+  EXPECT_NE(dump.find("health.trip"), std::string::npos);
   EXPECT_NE(dump.find("health.transition"), std::string::npos);
   std::remove("fleet_slo_burn_flight.txt");
   std::remove("fleet_slo_burn_flight.bin");

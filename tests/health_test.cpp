@@ -2,7 +2,11 @@
 // state machine, the engine's validated train steps + checkpoint/rollback,
 // and graceful degradation of the readahead tuners to vanilla readahead.
 #include "kv/minikv.h"
+#include "observe/flight_recorder.h"
 #include "observe/metrics.h"
+#include "observe/slo.h"
+#include "observe/timeseries.h"
+#include "portability/thread.h"
 #include "readahead/file_tuner.h"
 #include "readahead/pipeline.h"
 #include "readahead/tuner.h"
@@ -11,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -248,6 +253,318 @@ TEST(HealthMonitor, RegistryLatencySignalDisabledByDefault) {
   monitor.observe_registry();
   EXPECT_EQ(monitor.state(), HealthState::kHealthy);
   EXPECT_EQ(monitor.stats().latency_trips, 0u);
+}
+
+// Verdicts judge recent windows, never the process lifetime: a fresh burst
+// must not hide under a long healthy tail, a slow period that has ended
+// must stop tripping, and a registry reset must not blind a progress gate.
+TEST(HealthMonitor, WindowedP99SeesFreshBurst) {
+  observe::Histogram& hist =
+      observe::get_histogram(observe::kMetricInferenceNs);
+  hist.reset();
+  HealthConfig config = fast_config();
+  config.inference_p99_degrade_ns = 1'000'000;  // budget: 1 ms
+  HealthMonitor monitor(config);
+  for (int i = 0; i < 10'000; ++i) hist.record(10'000);  // 10 us each
+  monitor.observe_registry();  // primes baselines
+  // 0.5% of the lifetime, below its p99; all of the fresh window.
+  for (int i = 0; i < 50; ++i) hist.record(50'000'000);  // 50 ms each
+  monitor.observe_registry();
+  EXPECT_EQ(monitor.state(), HealthState::kDegraded);
+  EXPECT_EQ(monitor.stats().latency_trips, 1u);
+}
+
+TEST(HealthMonitor, WindowedP99StopsTrippingAfterBurst) {
+  observe::Histogram& hist =
+      observe::get_histogram(observe::kMetricInferenceNs);
+  hist.reset();
+  HealthConfig config = fast_config();
+  config.inference_p99_degrade_ns = 1'000'000;
+  HealthMonitor monitor(config);
+  monitor.observe_registry();  // primes baselines
+  for (int i = 0; i < 10'000; ++i) hist.record(50'000'000);
+  monitor.observe_registry();
+  ASSERT_EQ(monitor.state(), HealthState::kDegraded);
+  ASSERT_EQ(monitor.stats().latency_trips, 1u);
+
+  // Heal (+1: the first step primes the EWMA baseline), then a fast window:
+  // the slow period is over, so the guard must stay HEALTHY.
+  for (std::uint32_t i = 0; i <= config.clean_steps_to_recover; ++i) {
+    monitor.observe_train_step(1.0, true);
+  }
+  ASSERT_EQ(monitor.state(), HealthState::kHealthy);
+  for (int i = 0; i < 1'000; ++i) hist.record(10'000);
+  monitor.observe_registry();
+  EXPECT_EQ(monitor.state(), HealthState::kHealthy);
+  EXPECT_EQ(monitor.stats().latency_trips, 1u);
+}
+
+TEST(HealthMonitor, ProgressGateSurvivesRegistryReset) {
+  observe::Counter& steps = observe::get_counter(observe::kMetricTrainSteps);
+  observe::Gauge& grad = observe::get_gauge(observe::kMetricGradNormMilli);
+  HealthConfig config = fast_config();
+  config.grad_norm_degrade_milli = 5'000;
+  HealthMonitor monitor(config);
+  steps.add(1'000);
+  grad.set(1'000);
+  monitor.observe_registry();  // primes baselines
+  steps.add(1);
+  monitor.observe_registry();  // judged once: a healthy gradient
+  ASSERT_EQ(monitor.state(), HealthState::kHealthy);
+
+  observe::reset_all();  // the step counter drops below its baseline
+  steps.add(3);
+  grad.set(80'000);
+  monitor.observe_registry();
+  EXPECT_EQ(monitor.state(), HealthState::kDegraded);
+  EXPECT_EQ(monitor.stats().grad_trips, 1u);
+}
+
+struct Poller {
+  HealthMonitor* monitor;
+  std::atomic<int>* running;
+};
+
+void poller_main(void* arg) {
+  const Poller* p = static_cast<const Poller*>(arg);
+  for (int i = 0; i < 20'000; ++i) p->monitor->observe_registry();
+  p->running->fetch_sub(1, std::memory_order_release);
+}
+
+// A trainer thread and a fleet host may both poll one monitor. A reading
+// taken before the other poller moved the baseline sits below it and would
+// pass as a registry reset, judging the counter's whole lifetime as one
+// window; reads happen under the monitor's lock so that cannot occur.
+TEST(HealthMonitor, ConcurrentPollersNeverMistakeAStaleReadingForAReset) {
+  observe::Counter& recoveries =
+      observe::get_counter(observe::kMetricKvRecoveries);
+  recoveries.add(1'000'000'000'000);  // a lifetime far above any window
+  HealthConfig config = fast_config();
+  config.kv_recoveries_to_degrade = 100'000'000;  // above any real window
+  HealthMonitor monitor(config);
+  monitor.observe_registry();  // primes baselines
+
+  std::atomic<int> running{2};
+  Poller poller{&monitor, &running};
+  KmlThread* threads[2] = {};
+  for (KmlThread*& t : threads) {
+    t = kml_thread_create(poller_main, &poller, "health-poller");
+    ASSERT_NE(t, nullptr);
+  }
+  while (running.load(std::memory_order_acquire) > 0) recoveries.add(1);
+  for (KmlThread* t : threads) kml_thread_join(t);
+
+  EXPECT_EQ(monitor.stats().kv_recovery_trips, 0u);
+  EXPECT_EQ(monitor.state(), HealthState::kHealthy);
+}
+
+// --- The rule table, row by row ---------------------------------------------
+
+constexpr char kSloHist[] = "health_test.slo_ns";
+
+void reset_flight() {
+  observe::flight_thaw();
+  observe::flight_set_enabled(true);
+  observe::flight_reset();
+}
+
+// The calling thread's flight events, oldest first.
+std::vector<observe::TraceEvent> own_events() {
+  const auto self = static_cast<std::uint32_t>(kml_thread_self());
+  const observe::FlightSnapshot snap = observe::flight_snapshot();
+  for (const observe::FlightThreadDump& t : snap.threads) {
+    if (t.thread_id == self) return t.events;
+  }
+  return {};
+}
+
+bool is(const observe::TraceEvent& e, observe::EventId id) {
+  return e.event_id == static_cast<std::uint16_t>(id);
+}
+
+void record_slow(const char* hist) {
+  for (int i = 0; i < 100; ++i) {
+    observe::get_histogram(hist).record(50'000'000);
+  }
+}
+
+// One row of health.cpp's table: the threshold that enables it, the stats
+// field it trips, and a drive that pushes its metric past the threshold
+// while advancing its progress by at least the row's minimum window.
+struct RuleCase {
+  const char* name;
+  HealthRule rule;
+  std::uint64_t HealthConfig::*threshold;
+  std::uint64_t threshold_value;
+  std::uint64_t HealthStats::*trips;
+  void (*drive)();
+};
+
+const RuleCase kRuleCases[] = {
+    {"drop_share", HealthRule::kDropShare,
+     &HealthConfig::drop_rate_degrade_milli, 500,
+     &HealthStats::drop_rate_trips,
+     [] {  // 80 of 100 submissions dropped; fast_config's window is 10
+       observe::get_counter(observe::kMetricBufferPush).add(20);
+       observe::get_counter(observe::kMetricBufferDrop).add(80);
+     }},
+    {"inference_p99", HealthRule::kInferenceP99,
+     &HealthConfig::inference_p99_degrade_ns, 1'000'000,
+     &HealthStats::latency_trips,
+     [] { record_slow(observe::kMetricInferenceNs); }},
+    {"grad_norm", HealthRule::kGradNorm,
+     &HealthConfig::grad_norm_degrade_milli, 5'000,
+     &HealthStats::grad_trips,
+     [] {
+       observe::get_counter(observe::kMetricTrainSteps).add(1);
+       observe::get_gauge(observe::kMetricGradNormMilli).set(80'000);
+     }},
+    {"drift", HealthRule::kDrift, &HealthConfig::drift_z_degrade_milli,
+     1'000, &HealthStats::drift_trips,
+     [] {  // the sample count is a gauge that only counts up
+       observe::Gauge& samples =
+           observe::get_gauge(observe::kMetricDriftSamples);
+       samples.set(samples.value() + 64);
+       observe::get_gauge(observe::kMetricDriftZMilli).set(10'000);
+     }},
+    {"kv_recovery", HealthRule::kKvRecovery,
+     &HealthConfig::kv_recoveries_to_degrade, 1,
+     &HealthStats::kv_recovery_trips,
+     [] { observe::get_counter(observe::kMetricKvRecoveries).add(1); }},
+    {"cache_hit_share", HealthRule::kCacheHitShare,
+     &HealthConfig::cache_hit_rate_degrade_milli, 500,
+     &HealthStats::cache_trips,
+     [] {  // a window of cache_min_accesses (1024) misses
+       observe::get_counter(observe::kMetricCacheMiss).add(1024);
+     }},
+    {"fleet_queue_depth", HealthRule::kFleetQueueDepth,
+     &HealthConfig::fleet_queue_depth_degrade, 16,
+     &HealthStats::fleet_trips,
+     [] {
+       observe::get_counter(observe::kMetricFleetWindows).add(1);
+       observe::get_gauge(observe::kMetricFleetQueueDepth).set(64);
+     }},
+    {"fleet_decision_p99", HealthRule::kFleetDecisionP99,
+     &HealthConfig::fleet_decision_p99_degrade_ns, 1'000'000,
+     &HealthStats::fleet_trips,
+     [] { record_slow(observe::kMetricFleetDecisionNs); }},
+    {"slo_burning", HealthRule::kSloBurning,
+     &HealthConfig::slo_burning_to_degrade, 1, &HealthStats::slo_trips,
+     [] {  // one ring sample in which every record is bad
+       static std::uint64_t tick = 0;
+       for (int i = 0; i < 16; ++i) {
+         observe::get_histogram(kSloHist).record(1'000'000);
+       }
+       observe::timeseries_sample(++tick * 1'000'000'000ull);
+     }},
+};
+
+constexpr std::uint64_t HealthStats::*kTripFields[] = {
+    &HealthStats::drop_rate_trips,   &HealthStats::latency_trips,
+    &HealthStats::grad_trips,        &HealthStats::drift_trips,
+    &HealthStats::kv_recovery_trips, &HealthStats::cache_trips,
+    &HealthStats::fleet_trips,       &HealthStats::slo_trips,
+};
+
+class RuleRow : public ::testing::TestWithParam<RuleCase> {
+ protected:
+  void SetUp() override {
+    observe::reset_all();
+    observe::timeseries_reset();
+    observe::slo_reset();
+    observe::SloObjective obj;  // every record above 1 us is bad
+    obj.hist_name = kSloHist;
+    obj.threshold_ns = 1024;
+    obj.objective_milli = 990;
+    obj.fast_window_ticks = 1;
+    obj.slow_window_ticks = 2;
+    obj.fast_burn_trip_milli = 1000;
+    obj.slow_burn_trip_milli = 1000;
+    obj.min_window_records = 8;
+    ASSERT_GE(observe::slo_register(obj), 0);
+    reset_flight();
+  }
+  void TearDown() override {
+    observe::flight_thaw();
+    observe::slo_reset();
+    observe::timeseries_reset();
+  }
+  static HealthConfig config(std::uint64_t threshold) {
+    HealthConfig c = fast_config();
+    c.*GetParam().threshold = threshold;
+    return c;
+  }
+};
+
+TEST_P(RuleRow, TripsOnlyItsOwnFieldAndRecordsWhy) {
+  const RuleCase& row = GetParam();
+  HealthMonitor monitor(config(row.threshold_value));
+  monitor.observe_registry();  // primes baselines
+  row.drive();
+  monitor.observe_registry();
+  EXPECT_EQ(monitor.state(), HealthState::kDegraded);
+  const HealthStats stats = monitor.stats();
+  for (const auto field : kTripFields) {
+    EXPECT_EQ(stats.*field, field == row.trips ? 1u : 0u);
+  }
+
+  // The trip names its row, and lands before the transition it causes.
+  bool tripped = false;
+  bool transition_after_trip = false;
+  for (const observe::TraceEvent& e : own_events()) {
+    if (is(e, observe::EventId::kHealthTrip)) {
+      EXPECT_EQ(e.arg0, static_cast<std::uint64_t>(row.rule));
+      tripped = true;
+    } else if (is(e, observe::EventId::kHealthTransition) && tripped) {
+      transition_after_trip = true;
+    }
+  }
+  EXPECT_TRUE(tripped);
+  EXPECT_TRUE(transition_after_trip);
+}
+
+TEST_P(RuleRow, NoProgressMeansNoJudgement) {
+  const RuleCase& row = GetParam();
+  HealthMonitor monitor(config(row.threshold_value));
+  row.drive();                 // sick history, all before the first reading
+  monitor.observe_registry();  // primes baselines
+  monitor.observe_registry();
+  monitor.observe_registry();
+  EXPECT_EQ(monitor.state(), HealthState::kHealthy);
+  EXPECT_EQ(monitor.stats().*row.trips, 0u);
+}
+
+TEST_P(RuleRow, ZeroThresholdDisablesTheRule) {
+  const RuleCase& row = GetParam();
+  HealthMonitor monitor(config(0));
+  monitor.observe_registry();
+  row.drive();
+  monitor.observe_registry();
+  EXPECT_EQ(monitor.state(), HealthState::kHealthy);
+  EXPECT_EQ(monitor.stats().*row.trips, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HealthRules, RuleRow, ::testing::ValuesIn(kRuleCases),
+    [](const ::testing::TestParamInfo<RuleCase>& row) {
+      return std::string(row.param.name);
+    });
+
+// observe_buffer() judges through the registry's drop-share row.
+TEST(HealthMonitor, BufferDropShareTripsThroughTheDropRow) {
+  reset_flight();
+  HealthMonitor monitor(fast_config());
+  monitor.observe_buffer(200, 180);
+  EXPECT_EQ(monitor.stats().drop_rate_trips, 1u);
+  bool tripped = false;
+  for (const observe::TraceEvent& e : own_events()) {
+    if (!is(e, observe::EventId::kHealthTrip)) continue;
+    EXPECT_EQ(e.arg0, static_cast<std::uint64_t>(HealthRule::kDropShare));
+    EXPECT_EQ(e.arg1, 900u);  // 180 of 200 dropped, milli
+    tripped = true;
+  }
+  EXPECT_TRUE(tripped);
+  observe::flight_thaw();
 }
 
 #endif  // KML_OBSERVE_ENABLED

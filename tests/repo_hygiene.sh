@@ -118,5 +118,25 @@ if [ -n "$hook_offenders" ]; then
   exit 1
 fi
 
+# Health and fleet verdicts judge recent windows, never lifetime aggregates:
+# a lifetime p99 hides a fresh burst under old history and keeps an ended
+# one tripping. Code in src/runtime/ and src/fleet/ reads windowed
+# percentiles (Histogram::percentile_from_counts over a bucket delta, or the
+# time-series ring); a Histogram::percentile( call there is a lifetime
+# verdict coming back. The C API getters (src/capi/) only report values.
+lifetime_offenders=$(git ls-files src/runtime src/fleet |
+  grep -E '\.(cpp|h)$' |
+  while read -r f; do
+    if sed -e 's://.*$::' "$f" | grep -qE '\bpercentile\('; then
+      echo "$f"
+    fi
+  done)
+if [ -n "$lifetime_offenders" ]; then
+  echo "repo_hygiene: lifetime histogram percentile( in verdict code:"
+  echo "$lifetime_offenders"
+  echo "repo_hygiene: judge a window (Histogram::percentile_from_counts)"
+  exit 1
+fi
+
 echo "repo_hygiene: clean"
 exit 0
